@@ -8,7 +8,12 @@ files, independently of `--threads`.
 `--config FILE` preloads flags from a text file with one `key = value` per
 line and `#` comments; flags given on the command line take precedence.
 Unknown config keys are usage errors.  Exit codes: 0 success, 1 runtime
-failure (partially written outputs are removed), 2 usage error.
+failure (partially written outputs are removed), 2 usage error.  `parse`
+checks only the command shape (flags, keys, types, required flags, mode
+names, `--threads >= 1`).  Every other value is checked once, by the library
+object or function that uses it; the runners build these before the
+simulation or quadrature starts, and `main` reports their ValueError as a
+usage error too.
 """
 from __future__ import annotations
 
@@ -20,14 +25,13 @@ from dataclasses import dataclass
 
 from .density import (UndefinedVarianceError, f_eval, invariant_density,
                       pi_eval, sigma_eval)
-from .estimate import (bandwidth, delta_of_n, nw_continuous, nw_discrete,
+from .estimate import (delta_of_n, nw_continuous, nw_discrete,
                        write_estimate_csv)
 from .experiment import (ExperimentPlan, estimation_grid, normality_check,
                          run_table, write_normality_csv, write_summary_csv)
-from .model import (BarrierConfig, Schedule, builtin_drift, epanechnikov,
-                    validate_schedule)
+from .model import BarrierConfig, builtin_drift, epanechnikov
 from .simulate import (SimConfig, format_seed, read_path_csv, simulate_fine,
-                       write_path_csv)
+                       write_csv, write_path_csv)
 
 __all__ = ["RunConfig", "main", "parse"]
 
@@ -37,7 +41,11 @@ _MODE_NAMES = {"two-sided": "two_sided", "one-sided": "one_sided_lower",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully merged, validated invocation: subcommand plus parameter map."""
+    """A fully merged invocation: subcommand plus parameter map.
+
+    Values are typed but not range-checked; the runner's library objects do
+    that when `main` runs it.
+    """
 
     subcommand: str
     params: dict
@@ -51,6 +59,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+
+
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("threads must be >= 1")
+    return value
 
 
 # dest -> (converter, flag, help text).  Defaults live in _DEFAULTS so that
@@ -146,8 +161,8 @@ _EXTRA = {
                                               " exponents (default 0.3,0.2,0.15)"),
     "reps": (int, "--reps", "Monte Carlo replications"),
     "beta": (float, "--beta", "bandwidth exponent, h = n^(-beta)"),
-    "threads": (int, "--threads", "worker process cap (default: cpu count);"
-                                  " never changes results"),
+    "threads": (_threads, "--threads", "worker process cap (default: cpu"
+                                       " count); never changes results"),
     "epsilon": (float, "--epsilon", "rate-condition epsilon in (0, 1/2)"
                                     " (default 0.01)"),
 }
@@ -220,7 +235,7 @@ def _merge(ns: argparse.Namespace, spec: dict, error) -> dict:
             try:
                 value = conv(file_values[dest]) if dest != "mode" \
                     else file_values[dest]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
                 error(f"config key {dest!r}: bad value {file_values[dest]!r}")
         if value is None:
             value = spec["defaults"].get(dest)
@@ -245,101 +260,13 @@ def _barrier(params: dict) -> BarrierConfig:
     return BarrierConfig.two_sided(params["lower"], params["upper"])
 
 
-def _validate(sub: str, params: dict, error) -> None:
-    """Check every numeric parameter against module preconditions by
-    constructing the config objects; any ValueError is a usage error."""
-    try:
-        if sub == "simulate":
-            delta = params["delta"]
-            if delta is None:
-                delta = delta_of_n(params["n"])
-            if params["refine"] < 1:
-                raise ValueError("refine must be >= 1")
-            SimConfig(drift=builtin_drift(params["case"]),
-                      sigma=params["sigma"], barrier=_barrier(params),
-                      n_steps=params["n"], delta=delta, x0=params["x0"],
-                      seed=params["seed"], burn_in=params["burn_in"])
-        elif sub == "density":
-            builtin_drift(params["case"])
-            _barrier(params)
-            epanechnikov(params["h"])
-            if params["grid"] <= 0 or params["quad_panels"] <= 0:
-                raise ValueError("grid and quad-panels must be positive")
-        elif sub == "estimate":
-            _barrier(params)
-            epanechnikov(params["h"])
-            if params["kernel"] != "epanechnikov":
-                raise ValueError(f"unknown kernel {params['kernel']!r}")
-            if params["type"] not in ("discrete", "continuous"):
-                raise ValueError(f"unknown estimator type {params['type']!r}")
-            if params["grid_count"] <= 0:
-                raise ValueError("grid-count must be positive")
-            if not params["sigma"] >= 0:
-                raise ValueError("sigma must be nonnegative")
-            lo = params["grid_min"] if params["grid_min"] is not None \
-                else params["lower"]
-            hi = params["grid_max"] if params["grid_max"] is not None \
-                else params["upper"]
-            if not hi > lo:
-                raise ValueError("grid-min must be below grid-max")
-            if lo < params["lower"]:
-                raise ValueError("grid-min must be inside the barrier domain")
-            if params["mode"] == "two_sided" and hi > params["upper"]:
-                raise ValueError("grid-max must be inside the barrier domain")
-        elif sub == "experiment":
-            _plan_of(params)
-            if params["threads"] < 1:
-                raise ValueError("threads must be >= 1")
-        elif sub == "normality":
-            if params["type"] not in ("discrete", "continuous"):
-                raise ValueError(f"unknown estimator type {params['type']!r}")
-            if params["threads"] < 1:
-                raise ValueError("threads must be >= 1")
-            if params["quad_panels"] <= 0:
-                raise ValueError("quad-panels must be positive")
-            h = bandwidth(params["n"], params["beta"])
-            delta = delta_of_n(params["n"])
-            _barrier(params)
-            x0, lower = params["x0"], params["lower"]
-            interior = (x0 - lower) > h and (
-                params["mode"] != "two_sided" or (params["upper"] - x0) > h)
-            if not interior:
-                raise ValueError("x0 must be more than one bandwidth away"
-                                 " from each barrier")
-            warnings = validate_schedule(
-                Schedule(n=params["n"], delta=delta, h=h,
-                         epsilon=params["epsilon"], mode="normality"),
-                "discrete_normality")
-            if warnings:
-                raise ValueError("schedule fails rate conditions: "
-                                 + "; ".join(warnings))
-            ExperimentPlan(case_id=params["case"], barrier_mode=params["mode"],
-                           sigma=params["sigma"],
-                           n_replications=params["reps"],
-                           estimator_type=params["type"], base_seed=params["seed"],
-                           refine=params["refine"], lower=params["lower"],
-                           upper=params["upper"], burn_in=params["burn_in"])
-    except ValueError as exc:
-        error(str(exc))
-
-
-def _plan_of(params: dict) -> ExperimentPlan:
-    return ExperimentPlan(case_id=params["case"], barrier_mode=params["mode"],
-                          sigma=params["sigma"], n_list=params["n_list"],
-                          beta_list=params["beta_list"],
-                          n_replications=params["reps"],
-                          grid_count=params["grid"],
-                          estimator_type=params["type"],
-                          base_seed=params["seed"], refine=params["refine"],
-                          lower=params["lower"], upper=params["upper"],
-                          x0=params["x0"], burn_in=params["burn_in"])
-
-
 def parse(argv=None) -> RunConfig:
-    """Parse and validate an argv list into a RunConfig.
+    """Parse an argv list into a RunConfig.
 
     Usage problems (unknown flags or keys, missing required flags, values
-    violating module preconditions) exit with code 2 via argparse.
+    that do not convert to the flag's type) exit with code 2 via argparse.
+    No value is range-checked here: `main` turns the ValueError of the
+    library object that rejects it into exit code 2.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -347,7 +274,6 @@ def parse(argv=None) -> RunConfig:
         parser.error("a subcommand is required")
     spec = _SPECS[ns.subcommand]
     params = _merge(ns, spec, parser.error)
-    _validate(ns.subcommand, params, parser.error)
     return RunConfig(subcommand=ns.subcommand, params=params,
                      out=params.get("out"), seed=params.get("seed"))
 
@@ -376,52 +302,58 @@ def _run_simulate(params: dict):
 
 
 def _run_density(params: dict):
-    drift = builtin_drift(params["case"])
-    barrier = _barrier(params)
-    dens = invariant_density(drift, params["sigma"], barrier,
-                             quad_panels=params["quad_panels"])
+    # kernel and grid first: a bad --h or --grid fails before the quadrature
     kern = epanechnikov(params["h"])
     grid = estimation_grid(params["lower"], params["upper"], params["grid"])
+    dens = invariant_density(builtin_drift(params["case"]), params["sigma"],
+                             _barrier(params),
+                             quad_panels=params["quad_panels"])
     pi_vals = pi_eval(dens, grid)
     rows = []
     for x, pv in zip(grid, pi_vals):
         fv = f_eval(dens, kern, float(x))
         try:
-            sv = f"{sigma_eval(dens, kern, float(x)):.17g}"
+            sv = sigma_eval(dens, kern, float(x))
         except UndefinedVarianceError:
-            sv = ""
-        rows.append(f"{float(x):.17g},{float(pv):.17g},{fv:.17g},{sv}")
-
-    def write(p):
-        with open(p, "w", newline="") as f:
-            f.write(f"# seed={int(params['seed'])}\n")
-            f.write("x,pi,f,sigma_asym\n")
-            f.write("\n".join(rows) + "\n")
-
-    _write_guard(params["out"], write)
-    return 1, str(int(params["seed"]))
+            sv = None
+        rows.append((float(x), float(pv), fv, sv))
+    _write_guard(params["out"], lambda p: write_csv(
+        p, params["seed"], "x,pi,f,sigma_asym", rows))
+    return 1, format_seed(params["seed"])
 
 
 def _run_estimate(params: dict):
-    path = read_path_csv(params["in_path"], sigma=params["sigma"],
-                         barrier=_barrier(params))
+    if params["kernel"] != "epanechnikov":
+        raise ValueError(f"unknown kernel {params['kernel']!r}")
+    if params["type"] not in ("discrete", "continuous"):
+        raise ValueError(f"unknown estimator type {params['type']!r}")
+    barrier = _barrier(params)
     lo = params["grid_min"] if params["grid_min"] is not None \
         else params["lower"]
     hi = params["grid_max"] if params["grid_max"] is not None \
         else params["upper"]
     grid = estimation_grid(lo, hi, params["grid_count"])
     kern = epanechnikov(params["h"])
-    if params["type"] == "continuous":
-        result = nw_continuous(path, kern, grid)
-    else:
-        result = nw_discrete(path, kern, grid)
+    path = read_path_csv(params["in_path"], sigma=params["sigma"],
+                         barrier=barrier)
+    estimator = nw_continuous if params["type"] == "continuous" \
+        else nw_discrete
+    result = estimator(path, kern, grid)
     _write_guard(params["out"],
                  lambda p: write_estimate_csv(result, p, path.seed))
     return 1, format_seed(path.seed)
 
 
 def _run_experiment(params: dict):
-    plan = _plan_of(params)
+    plan = ExperimentPlan(case_id=params["case"], barrier_mode=params["mode"],
+                          sigma=params["sigma"], n_list=params["n_list"],
+                          beta_list=params["beta_list"],
+                          n_replications=params["reps"],
+                          grid_count=params["grid"],
+                          estimator_type=params["type"],
+                          base_seed=params["seed"], refine=params["refine"],
+                          lower=params["lower"], upper=params["upper"],
+                          x0=params["x0"], burn_in=params["burn_in"])
     summaries, failures = run_table(plan, threads=params["threads"])
     for fail in failures:
         print(f"refsde experiment: cell (case={fail.case_id} mode={fail.mode}"
@@ -462,7 +394,12 @@ _DISPATCH = {
 
 
 def main(args=None) -> int:
-    """Entry point; accepts an argv list or an already parsed RunConfig."""
+    """Entry point; accepts an argv list or an already parsed RunConfig.
+
+    A ValueError from the runner is a rejected value: exit 2.  Any other
+    exception is a runtime failure: exit 1.  Either way the message goes to
+    stderr and no output file is left behind.
+    """
     if isinstance(args, RunConfig):
         cfg = args
     else:
@@ -475,7 +412,7 @@ def main(args=None) -> int:
         cells, seed_str = _DISPATCH[cfg.subcommand](cfg.params)
     except Exception as exc:
         print(f"refsde {cfg.subcommand}: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     wall = time.time() - started
     print(f"refsde {cfg.subcommand}: cells={cells} wall={wall:.2f}s"
           f" seed={seed_str}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import KernelSpec, SamplePath
-from .simulate import format_seed
+from .simulate import write_csv
 
 __all__ = [
     "EstimateResult",
@@ -64,9 +64,8 @@ class EstimateResult:
 
 
 def kernel_eval(k: KernelSpec, t):
-    """Evaluate the base kernel, forcing 0 outside the support [-1,1]."""
-    arr = np.asarray(t, dtype=float)
-    out = np.where(np.abs(arr) <= 1.0, k.fn(arr), 0.0)
+    """Evaluate the base kernel; k.fn is already 0 outside [-1,1]."""
+    out = np.asarray(k.fn(np.asarray(t, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -164,22 +163,13 @@ def nw_continuous(fine_path: SamplePath, k: KernelSpec, grid) -> EstimateResult:
     return _estimate(fine_path, k, grid, "continuous")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_estimate_csv(result: EstimateResult, out_path: str, seed) -> None:
     """CSV `x,estimate,denominator,undefined,boundary`, `# seed=` first.
 
     Undefined estimates are written as empty fields; the two masks as 0/1.
     """
-    with open(out_path, "w", newline="") as f:
-        f.write(f"# seed={format_seed(seed)}\n")
-        f.write("x,estimate,denominator,undefined,boundary\n")
-        for x, v, den, bad, bnd in zip(result.grid, result.values,
-                                       result.denominators,
-                                       result.undefined_mask,
-                                       result.boundary_mask):
-            mid = "" if bad else _fmt(float(v))
-            f.write(f"{_fmt(float(x))},{mid},{_fmt(float(den))},"
-                    f"{int(bad)},{int(bnd)}\n")
+    write_csv(out_path, seed, "x,estimate,denominator,undefined,boundary",
+              ((x, None if bad else v, den, int(bad), int(bnd))
+               for x, v, den, bad, bnd in zip(
+                   result.grid, result.values, result.denominators,
+                   result.undefined_mask, result.boundary_mask)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from .estimate import (EstimateResult, bandwidth, delta_of_n, nw_continuous,
                        nw_discrete)
 from .model import (BarrierConfig, DriftSpec, Schedule, builtin_drift,
                     epanechnikov, validate_schedule)
-from .simulate import SimConfig, simulate_fine, simulate_path
+from .simulate import SimConfig, simulate_fine, simulate_path, write_csv
 
 __all__ = [
     "CellFailure",
@@ -77,7 +76,8 @@ class ExperimentPlan:
     into two_sided plus one_sided_lower.  ``estimator_type`` selects the
     observation-grid estimator ("discrete") or the fine-grid one
     ("continuous", step delta/refine).  ``x0 = None`` picks the simulator
-    default start.  One-sided cells still estimate on [lower, upper].
+    default start; a given x0 must lie in the domain of every mode run.
+    One-sided cells still estimate on [lower, upper].
     """
 
     case_id: int
@@ -116,6 +116,11 @@ class ExperimentPlan:
             raise ValueError("beta_list entries must lie in (0, 1)")
         if not 0.0 <= self.lower < self.upper:
             raise ValueError("need 0 <= lower < upper")
+        if self.x0 is not None:
+            modes = _MODE_INDEX if self.barrier_mode == "both" \
+                else (self.barrier_mode,)
+            if not all(self.barrier_for(m).contains(self.x0) for m in modes):
+                raise ValueError("x0 must lie in the barrier domain")
 
     def barrier_for(self, mode: str) -> BarrierConfig:
         if mode == "two_sided":
@@ -386,49 +391,27 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
                            n_replications=int(n_replications))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _out_stream(out_path):
-    """Open a path for writing, or pass a ready file object through."""
-    if hasattr(out_path, "write"):
-        return nullcontext(out_path)
-    return open(out_path, "w", newline="")
-
-
 def write_summary_csv(summaries: Sequence[McSummary], out_path,
                       base_seed: int) -> None:
     """Table CSV, one row per cell, preceded by a `# seed=` comment."""
-    with _out_stream(out_path) as f:
-        f.write(f"# seed={int(base_seed)}\n")
-        f.write("case,mode,n,beta,h,delta,rase_mean,rase_std,rase_median,"
-                "excluded_mean,n_reps\n")
-        for s in summaries:
-            f.write(",".join([
-                str(s.case_id), s.mode, str(s.n), _fmt(s.beta), _fmt(s.h),
-                _fmt(s.delta), _fmt(s.rase_mean), _fmt(s.rase_std),
-                _fmt(s.rase_median), _fmt(s.excluded_points_mean),
-                str(s.n_replications)]) + "\n")
+    write_csv(out_path, int(base_seed),
+              "case,mode,n,beta,h,delta,rase_mean,rase_std,rase_median,"
+              "excluded_mean,n_reps",
+              ((s.case_id, s.mode, s.n, s.beta, s.h, s.delta, s.rase_mean,
+                s.rase_std, s.rase_median, s.excluded_points_mean,
+                s.n_replications) for s in summaries))
 
 
 def write_normality_csv(report: NormalityReport, out_path,
                         base_seed: int) -> None:
-    """Normality report CSV (single data row)."""
+    """Normality report CSV (single data row); out_path may be a stream."""
     r = report
-    with _out_stream(out_path) as f:
-        f.write(f"# seed={int(base_seed)}\n")
-        f.write("case,x0,n,beta,mean_z,var_z,ks_stat,dropped\n")
-        f.write(",".join([str(r.case_id), _fmt(r.x0), str(r.n), _fmt(r.beta),
-                          _fmt(r.mean_z), _fmt(r.var_z), _fmt(r.ks_stat),
-                          str(r.dropped)]) + "\n")
+    write_csv(out_path, int(base_seed),
+              "case,x0,n,beta,mean_z,var_z,ks_stat,dropped",
+              [(r.case_id, r.x0, r.n, r.beta, r.mean_z, r.var_z, r.ks_stat,
+                r.dropped)])
 
 
 def write_curve_csv(rows, out_path, seed: int) -> None:
     """Estimator-vs-truth CSV `x,estimate,truth`; undefined estimates empty."""
-    with _out_stream(out_path) as f:
-        f.write(f"# seed={int(seed)}\n")
-        f.write("x,estimate,truth\n")
-        for x, est, tr in rows:
-            mid = "" if est is None else _fmt(est)
-            f.write(f"{_fmt(x)},{mid},{_fmt(tr)}\n")
+    write_csv(out_path, int(seed), "x,estimate,truth", rows)

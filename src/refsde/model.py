@@ -149,7 +149,8 @@ def _epanechnikov(t):
 class KernelSpec:
     """Compact-support symmetric kernel K on [-1,1] plus its bandwidth h.
 
-    The scaled kernel used by the estimators is K_h(y) = K(y/h)/h.
+    ``fn`` must return 0 outside [-1,1]; the estimators rely on it and do
+    not clip.  The scaled kernel used by the estimators is K_h(y) = K(y/h)/h.
     """
 
     name: str

@@ -15,6 +15,7 @@ consume, at the usual Euler-Maruyama convergence rate.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "simulate_path",
     "step",
     "stream_rng",
+    "write_csv",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -255,24 +257,39 @@ def simulate_fine(cfg: SimConfig, refine: int) -> SamplePath:
 
 # --- CSV import/export -------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def format_seed(seed) -> str:
     if isinstance(seed, (int, np.integer)):
         return str(int(seed))
     return ",".join(str(int(s)) for s in seed)
 
 
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def write_csv(out_path, seed, header: str, rows) -> None:
+    """The one CSV writer: a `# seed=` comment, the header, then the rows.
+
+    out_path is a file path or an open text stream.  Floats are written at
+    full double precision (%.17g), None as an empty field, anything else
+    with str().
+    """
+    with (nullcontext(out_path) if hasattr(out_path, "write")
+          else open(out_path, "w", newline="")) as f:
+        f.write(f"# seed={format_seed(seed)}\n{header}\n")
+        for row in rows:
+            f.write(",".join(_cell(v) for v in row) + "\n")
+
+
 def write_path_csv(path: SamplePath, out_path: str) -> None:
     """Write `t,x,l_reg,r_reg` rows at full double precision, preceded by a
     `# seed=` metadata comment."""
-    with open(out_path, "w", newline="") as f:
-        f.write(f"# seed={format_seed(path.seed)}\n")
-        f.write("t,x,l_reg,r_reg\n")
-        for t, xv, lv, rv in zip(path.times, path.x, path.l_reg, path.r_reg):
-            f.write(f"{_fmt(t)},{_fmt(xv)},{_fmt(lv)},{_fmt(rv)}\n")
+    write_csv(out_path, path.seed, "t,x,l_reg,r_reg",
+              zip(path.times, path.x, path.l_reg, path.r_reg))
 
 
 def read_path_csv(in_path: str, sigma: float, barrier: BarrierConfig,

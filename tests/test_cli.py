@@ -48,10 +48,61 @@ def test_help_exits_zero_and_lists_flags(capsys):
         assert flag in msg
 
 
-def test_invalid_parameter_value_exits_two(tmp_path, capsys):
-    assert main(["simulate", "--case", "1", "--n", "50", "--delta", "-0.1",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    capsys.readouterr()
+_SIM = ["simulate", "--case", "1", "--n", "50"]
+_DENS = ["density", "--case", "1", "--grid", "5"]
+_EST = ["estimate", "--in", "{path}", "--grid-count", "10"]
+_EXP = ["experiment", "--case", "1", "--n-list", "40", "--beta-list", "0.3",
+        "--reps", "2", "--grid", "10"]
+_NORM = ["normality", "--case", "2", "--x0", "1.5", "--n", "60", "--beta",
+         "0.3", "--reps", "3"]
+
+
+@pytest.fixture(scope="module")
+def path_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("path") / "p.csv"
+    assert main(["simulate", "--case", "2", "--n", "300", "--seed", "5",
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_SIM + ["--delta", "-0.1"], id="simulate-delta"),
+    pytest.param(_SIM + ["--refine", "0"], id="simulate-refine"),
+    pytest.param(["simulate", "--case", "1", "--n", "1"], id="simulate-n"),
+    pytest.param(_SIM + ["--x0", "4"], id="simulate-x0"),
+    pytest.param(_DENS[:-1] + ["0"], id="density-grid"),
+    pytest.param(_DENS + ["--quad-panels", "0"], id="density-quad-panels"),
+    pytest.param(_DENS + ["--h", "-1"], id="density-h"),
+    pytest.param(_DENS + ["--sigma", "0"], id="density-sigma"),
+    pytest.param(_EST + ["--kernel", "gauss"], id="estimate-kernel"),
+    pytest.param(_EST + ["--type", "x"], id="estimate-type"),
+    pytest.param(_EST[:-1] + ["0"], id="estimate-grid-count"),
+    pytest.param(_EST + ["--sigma", "-1"], id="estimate-sigma"),
+    pytest.param(_EST + ["--grid-min", "2", "--grid-max", "1"],
+                 id="estimate-grid-order"),
+    pytest.param(_EST + ["--grid-min", "-1"], id="estimate-grid-min"),
+    pytest.param(_EST + ["--grid-max", "4"], id="estimate-grid-max"),
+    pytest.param(_EXP + ["--threads", "0"], id="experiment-threads"),
+    pytest.param(_EXP + ["--config", "{threads0}"],
+                 id="experiment-threads-config"),
+    pytest.param(_EXP + ["--reps", "0"], id="experiment-reps"),
+    pytest.param(_EXP + ["--mode", "two-sided", "--x0", "5"],
+                 id="experiment-x0"),
+    pytest.param(_NORM[:4] + ["0.05"] + _NORM[5:], id="normality-x0"),
+    pytest.param(_NORM[:8] + ["0.45"] + _NORM[9:], id="normality-beta"),
+    pytest.param(_NORM + ["--threads", "0"], id="normality-threads"),
+    pytest.param(_NORM + ["--quad-panels", "0"], id="normality-quad-panels"),
+    pytest.param(_NORM + ["--type", "x"], id="normality-type"),
+    pytest.param(_NORM + ["--epsilon", "0.7"], id="normality-epsilon"),
+])
+def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv, capsys):
+    threads0 = tmp_path / "threads0.cfg"
+    threads0.write_text("threads = 0\n")
+    out = tmp_path / "x.csv"
+    argv = [a.format(path=path_csv, threads0=threads0) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error" in capsys.readouterr().err
 
 
 def test_mode_vocabulary(tmp_path):
