@@ -313,7 +313,7 @@ def _run_density(params: dict):
     for x, pv in zip(grid, pi_vals):
         fv = f_eval(dens, kern, float(x))
         try:
-            sv = sigma_eval(dens, kern, float(x))
+            sv = sigma_eval(dens, fv)
         except UndefinedVarianceError:
             sv = None
         rows.append((float(x), float(pv), fv, sv))

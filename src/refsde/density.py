@@ -204,14 +204,14 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
     return max(val, 0.0)
 
 
-def sigma_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
-    """Sigma(x) = sigma^2 / F(x), with F from the drift -b law (module docstring).
+def sigma_eval(d: InvariantDensity, f: float) -> float:
+    """Sigma(x) = sigma^2 / F(x), for F = f_eval(d, k, x) of the drift -b law.
 
-    The asymptotic variance of sqrt(n h Delta) (b_hat(x) - b(x)) is
+    The caller passes F, so each point's F quadrature runs once.  The
+    asymptotic variance of sqrt(n h Delta) (b_hat(x) - b(x)) is
     int K^2 * Sigma(x); this function leaves the kernel factor int K^2 out.
     """
-    f = f_eval(d, k, x)
     if f <= 0.0:
         raise UndefinedVarianceError(
-            f"smoothed density vanishes at x={x:g}; variance undefined")
+            f"smoothed density F = {f:g} is not positive; variance undefined")
     return d.sigma * d.sigma / f

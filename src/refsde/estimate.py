@@ -30,10 +30,6 @@ __all__ = [
     "write_estimate_csv",
 ]
 
-# cap on the kernel-weight working set: block_size * n_obs floats
-_BLOCK_FLOATS = 4_000_000
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     """Per-grid-point estimates plus diagnostics.
@@ -41,9 +37,11 @@ class EstimateResult:
     values hold NaN exactly where undefined_mask is set (empty kernel window).
     denominators carry the occupation diagnostic F(x) = mean of K_h(X - x)
     over observations, identical between the two estimator types on shared
-    grids.  boundary_mask flags grid points within one bandwidth of a barrier,
-    where kernel mass is truncated.  meta records (n, delta, h, kernel,
-    estimator type).
+    grids.  Both are sums over the observations in the window [x - h, x + h]
+    only, exact because the kernel vanishes outside [-1, 1]; computing them
+    takes O(n) memory for any grid size.  boundary_mask flags grid points
+    within one bandwidth of a barrier, where kernel mass is truncated.  meta
+    records (n, delta, h, kernel, estimator type).
     """
 
     grid: np.ndarray
@@ -92,24 +90,30 @@ def _nw_core(obs: np.ndarray, incr: np.ndarray, dt: float, k: KernelSpec,
     dt is the time weight per observation (Delta, or the fine step ds).
     f_hat = (1/n) sum K_h(X - x), the denominator diagnostic; the estimate is
     numerator / (dt * n * f_hat).
+
+    The observations are sorted once, and each grid point sums only over its
+    window [x - h, x + h], found by binary search.  That drops no weight
+    because KernelSpec.fn is 0 outside [-1, 1]: an observation outside the
+    window has |X - x| / h >= 1 in floating point too.  At most one window is
+    held at a time, so the working set is O(n) whatever the grid size.
     """
     h = k.bandwidth
     n = obs.shape[0]
+    order = np.argsort(obs, kind="stable")
+    xs, ds = obs[order], incr[order]
+    lo = np.searchsorted(xs, grid - h, side="left").tolist()
+    hi = np.searchsorted(xs, grid + h, side="right").tolist()
+    sw = np.zeros(grid.shape)
+    num = np.zeros(grid.shape)
+    for i, (x, a, b) in enumerate(zip(grid.tolist(), lo, hi)):
+        if a < b:
+            w = kernel_eval(k, (xs[a:b] - x) / h) / h
+            sw[i] = w.sum()
+            num[i] = w @ ds[a:b]
     values = np.full(grid.shape, np.nan)
-    f_hat = np.empty(grid.shape)
-    block = max(1, _BLOCK_FLOATS // max(n, 1))
-    for i0 in range(0, grid.size, block):
-        sl = slice(i0, min(i0 + block, grid.size))
-        u = (obs[None, :] - grid[sl, None]) / h
-        w = kernel_eval(k, u) / h
-        sw = w.sum(axis=1)
-        f_hat[sl] = sw / n
-        num = w @ incr
-        defined = sw > 0.0
-        chunk = np.full(sw.shape, np.nan)
-        chunk[defined] = num[defined] / (dt * sw[defined])
-        values[sl] = chunk
-    return values, f_hat
+    defined = sw > 0.0
+    values[defined] = num[defined] / (dt * sw[defined])
+    return values, sw / n
 
 
 def _boundary_mask(path: SamplePath, grid: np.ndarray, h: float) -> np.ndarray:

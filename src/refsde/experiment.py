@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .density import invariant_density, sigma_eval
+from .density import f_eval, invariant_density, sigma_eval
 from .estimate import (EstimateResult, bandwidth, delta_of_n, nw_continuous,
                        nw_discrete)
 from .model import (BarrierConfig, DriftSpec, Schedule, builtin_drift,
@@ -373,7 +373,7 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     drift = builtin_drift(case_id)
     dens = invariant_density(drift, sigma, plan.barrier_for(mode),
                              quad_panels=quad_panels)
-    sig2 = sigma_eval(dens, epanechnikov(h), float(x0))
+    sig2 = sigma_eval(dens, f_eval(dens, epanechnikov(h), float(x0)))
     scale = math.sqrt(n * h * delta) / math.sqrt(sig2)
     tasks = [(plan, mode, int(n), float(beta), float(x0), r)
              for r in range(1, n_replications + 1)]

@@ -155,8 +155,9 @@ def test_f_eval_tracks_pi_as_h_shrinks():
 def test_sigma_eval_uniform_values():
     dens = invariant_density(_const_drift(0.0), SIGMA, TWO_SIDED)
     k = epanechnikov(0.3)
-    assert sigma_eval(dens, k, 1.5) == pytest.approx(0.12, abs=1e-12)
-    assert sigma_eval(dens, k, 0.0) == pytest.approx(0.24, abs=1e-12)
+    f_mid, f_edge = f_eval(dens, k, 1.5), f_eval(dens, k, 0.0)
+    assert sigma_eval(dens, f_mid) == pytest.approx(0.12, abs=1e-12)
+    assert sigma_eval(dens, f_edge) == pytest.approx(0.24, abs=1e-12)
 
 
 def test_sigma_eval_is_sigma_squared_over_f():
@@ -164,8 +165,7 @@ def test_sigma_eval_is_sigma_squared_over_f():
     k = epanechnikov(0.2)
     for x in (0.4, 1.1, 2.0):
         f = f_eval(dens, k, x)
-        assert sigma_eval(dens, k, x) == pytest.approx(SIGMA ** 2 / f,
-                                                       rel=1e-12)
+        assert sigma_eval(dens, f) == pytest.approx(SIGMA ** 2 / f, rel=1e-12)
 
 
 def test_sigma_eval_raises_where_mass_vanishes():
@@ -173,4 +173,4 @@ def test_sigma_eval_raises_where_mass_vanishes():
     # that F underflows to exactly 0 near the opposite end
     dens = invariant_density(_const_drift(6.0), SIGMA, TWO_SIDED)
     with pytest.raises(UndefinedVarianceError):
-        sigma_eval(dens, epanechnikov(0.005), 2.99)
+        sigma_eval(dens, f_eval(dens, epanechnikov(0.005), 2.99))

@@ -1,6 +1,7 @@
 """Tests for the drift estimators, bandwidth schedules and estimate CSV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,20 +142,50 @@ def _brute_nw(path, k, grid):
     return vals, dens
 
 
+def _window_edge_case(h):
+    # observations exactly at g +- h and one ulp to either side, duplicates,
+    # two windows that meet near 0.9, an observation at the barrier, an empty
+    # window at 2.7, and the grid in descending order
+    g = np.array([2.7, 1.2, 0.9 - h, 0.3])
+    edges = [v for e in (g[1] - h, g[1] + h, g[3] - h, g[3] + h)
+             for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    xs = np.array(edges + [1.2, 1.2, 1.2, 1.3, 1.3, 0.0, 0.45, 0.45, 1.5])
+    xs = xs[xs >= 0.0]  # drop the ulp below 0.3 - h = 0, outside the domain
+    xs = xs[np.random.default_rng(4).permutation(xs.size)]
+    return _tiny_path(np.append(xs, 1.0)), g
+
+
 def test_nw_discrete_matches_brute_force():
     grid = np.linspace(0.1, 2.9, 25)
     k = epanechnikov(0.3)
-    for s in range(3):
-        cfg = SimConfig(drift=builtin_drift(1 + s), sigma=0.2,
-                        barrier=TWO_SIDED, n_steps=200, delta=0.02,
-                        seed=(55, s))
-        p = simulate_path(cfg)
-        est = nw_discrete(p, k, grid)
-        vals, dens = _brute_nw(p, k, grid)
+    cases = [(simulate_path(SimConfig(drift=builtin_drift(1 + s), sigma=0.2,
+                                      barrier=TWO_SIDED, n_steps=200,
+                                      delta=0.02, seed=(55, s))), grid)
+             for s in range(3)]
+    cases.append(_window_edge_case(k.bandwidth))
+    for p, g in cases:
+        est = nw_discrete(p, k, g)
+        vals, dens = _brute_nw(p, k, g)
         np.testing.assert_array_equal(np.isnan(vals), est.undefined_mask)
         mask = ~est.undefined_mask
         np.testing.assert_allclose(est.values[mask], vals[mask], atol=1e-12)
         np.testing.assert_allclose(est.denominators, dens, atol=1e-12)
+
+
+def test_nw_working_set_is_linear_in_n():
+    # a wide window over a long path: a grid x observation weight matrix (or
+    # every in-window pair at once) would need tens of floats per observation
+    n = 200_000
+    p = _tiny_path(np.random.default_rng(5).uniform(0.0, 3.0, n + 1))
+    grid = estimation_grid(0.0, 3.0, 300)
+    k = epanechnikov(1.0)
+    tracemalloc.start()
+    try:
+        nw_discrete(p, k, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * 8, f"peak {peak / (n * 8):.1f} floats per observation"
 
 
 def test_kernel_height_scaling_cancels():
