@@ -83,6 +83,11 @@ def delta_of_n(n: int) -> float:
     return float(n) ** (-2.0 / 3.0)
 
 
+# In-window pairs one group of windows may hold: enough to spread numpy's
+# per-call cost over many small windows, few enough to stay in cache.
+_GROUP_PAIRS = 2 ** 14
+
+
 def _nw_core(obs: np.ndarray, incr: np.ndarray, dt: float, k: KernelSpec,
              grid: np.ndarray):
     """Shared ratio core: returns (values, f_hat) for the given increments.
@@ -94,22 +99,48 @@ def _nw_core(obs: np.ndarray, incr: np.ndarray, dt: float, k: KernelSpec,
     The observations are sorted once, and each grid point sums only over its
     window [x - h, x + h], found by binary search.  That drops no weight
     because KernelSpec.fn is 0 outside [-1, 1]: an observation outside the
-    window has |X - x| / h >= 1 in floating point too.  At most one window is
-    held at a time, so the working set is O(n) whatever the grid size.
+    window has |X - x| / h >= 1 in floating point too.
+
+    Nonempty windows are taken in grid order and put into groups of at most
+    _GROUP_PAIRS in-window pairs; a larger window is a group of its own.  A
+    group of several windows takes one pass: its pairs are gathered into
+    flat arrays, the kernel is called once, and np.add.reduceat sums each
+    window.  Empty windows stay out of the groups, because reduceat returns
+    the element at an empty segment's offset, not 0; their sums are 0
+    already.  A group of one window is summed from its slice of the sorted
+    arrays, since gathering it would only copy it.  The working set is O(n)
+    whatever the grid size.
     """
     h = k.bandwidth
     n = obs.shape[0]
     order = np.argsort(obs, kind="stable")
     xs, ds = obs[order], incr[order]
-    lo = np.searchsorted(xs, grid - h, side="left").tolist()
-    hi = np.searchsorted(xs, grid + h, side="right").tolist()
+    lo = np.searchsorted(xs, grid - h, side="left")
+    count = np.searchsorted(xs, grid + h, side="right") - lo
+    full = np.flatnonzero(count)
+    ends = np.cumsum(count[full])
     sw = np.zeros(grid.shape)
     num = np.zeros(grid.shape)
-    for i, (x, a, b) in enumerate(zip(grid.tolist(), lo, hi)):
-        if a < b:
-            w = kernel_eval(k, (xs[a:b] - x) / h) / h
+    start = 0
+    while start < full.size:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _GROUP_PAIRS,
+                                                  side="right")))
+        g = full[start:stop]
+        if g.size == 1:
+            i = g[0]
+            a, b = lo[i], lo[i] + count[i]
+            w = kernel_eval(k, (xs[a:b] - grid[i]) / h) / h
             sw[i] = w.sum()
             num[i] = w @ ds[a:b]
+        else:
+            c = count[g]
+            first = np.cumsum(c) - c
+            idx = np.arange(ends[stop - 1] - done) + np.repeat(lo[g] - first, c)
+            w = kernel_eval(k, (xs[idx] - np.repeat(grid[g], c)) / h) / h
+            sw[g] = np.add.reduceat(w, first)
+            num[g] = np.add.reduceat(w * ds[idx], first)
+        start = stop
     values = np.full(grid.shape, np.nan)
     defined = sw > 0.0
     values[defined] = num[defined] / (dt * sw[defined])

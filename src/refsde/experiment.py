@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .density import f_eval, invariant_density, sigma_eval
 from .estimate import (EstimateResult, bandwidth, delta_of_n, nw_continuous,
@@ -384,6 +383,8 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
         raise NoDataError("estimate undefined at x0 in every replication")
     z = scale * (kept - float(drift(x0)))
     var_z = float(np.var(z, ddof=1)) if kept.size > 1 else 0.0
+    # imported here: scipy.stats costs every other command about 1 s and 70 MB
+    from scipy import stats as sps
     ks = float(sps.kstest(z, "norm").statistic)
     return NormalityReport(case_id=int(case_id), x0=float(x0), n=int(n),
                            beta=float(beta), mean_z=float(z.mean()),

@@ -1,10 +1,13 @@
 """Tests for the command-line interface: parsing, config files, runners."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import refsde
 from refsde.cli import main, parse
 
 
@@ -227,6 +230,18 @@ def test_main_accepts_parsed_runconfig(tmp_path):
                 "--out", str(out)])
     assert main(rc) == 0
     assert out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats is imported by normality_check alone; loading it at import
+    # time costs every command about a second and 70 MB
+    src = str(Path(refsde.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, refsde.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entrypoint(tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from refsde import estimate
 from refsde import (
     BarrierConfig,
     DriftSpec,
@@ -155,6 +156,26 @@ def _window_edge_case(h):
     return _tiny_path(np.append(xs, 1.0)), g
 
 
+def _multi_group_case(h):
+    # enough in-window pairs for several groups of windows; the shuffled grid
+    # puts empty windows between nonempty ones, and the window at 1.5 holds
+    # every observation
+    rng = np.random.default_rng(6)
+    p = _tiny_path(rng.uniform(1.21, 1.79, 2001))
+    g = np.append(rng.permutation(estimation_grid(0.0, 3.0, 400)), 1.5)
+    pairs = int((np.abs(p.x[:-1, None] - g) <= h).sum())
+    assert pairs > 5 * estimate._GROUP_PAIRS
+    return p, g
+
+
+def _wide_window_case():
+    # windows above one group's worth of pairs, each summed on its own, next
+    # to an empty one
+    n = estimate._GROUP_PAIRS + 2000
+    p = _tiny_path(np.random.default_rng(7).uniform(1.21, 1.79, n + 1))
+    return p, np.array([1.5, 0.2, 1.3, 1.55])
+
+
 def test_nw_discrete_matches_brute_force():
     grid = np.linspace(0.1, 2.9, 25)
     k = epanechnikov(0.3)
@@ -163,6 +184,8 @@ def test_nw_discrete_matches_brute_force():
                                       delta=0.02, seed=(55, s))), grid)
              for s in range(3)]
     cases.append(_window_edge_case(k.bandwidth))
+    cases.append(_multi_group_case(k.bandwidth))
+    cases.append(_wide_window_case())
     for p, g in cases:
         est = nw_discrete(p, k, g)
         vals, dens = _brute_nw(p, k, g)
