@@ -144,11 +144,9 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
         z = _converged_simpson(g, lower, support_hi, quad_panels)
     else:
         t_tail = 1.0
-        z = _fixed_simpson(g, lower, lower + t_tail, quad_panels)
         for _ in range(_MAX_TAIL_DOUBLINGS):
             tail = _fixed_simpson(g, lower + t_tail, lower + 2.0 * t_tail,
                                   quad_panels)
-            z += tail
             t_tail *= 2.0
             if tail < _TAIL_TOL:
                 break

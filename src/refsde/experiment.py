@@ -254,8 +254,6 @@ def _map_replications(worker, tasks, threads):
         for r in range(1, len(tasks) + 1):
             try:
                 out.append(next(stream))
-            except StopIteration:
-                raise RuntimeError("worker pool returned too few results") from None
             except Exception as exc:
                 raise ReplicationError(
                     f"replication {r}: {type(exc).__name__}: {exc}") from exc

@@ -298,27 +298,30 @@ def read_path_csv(in_path: str, sigma: float, barrier: BarrierConfig,
 
     sigma and barrier are not stored in the CSV and must be supplied; delta is
     inferred from the time column unless given.
+
+    Accepted layout (the one `write_path_csv` writes, plus CRLF line ends):
+    leading comment, `t,...` header and blank lines, where a `# seed=` comment
+    sets the seed (default 0); then rows of four comma-separated floats, among
+    which empty lines and lines starting with `#` are skipped.  ValueError is
+    raised for a non-numeric field, a row of another length, a column count
+    other than four, no data rows, or a single row when delta is not given.
     """
     seed: int | tuple[int, ...] = 0
-    rows = []
-    with open(in_path, "r", newline="") as f:
-        for line in f:
+    with open(in_path) as f:
+        for k, line in enumerate(f):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("seed="):
                     parts = body[len("seed="):].split(",")
                     ints = tuple(int(p) for p in parts)
                     seed = ints[0] if len(ints) == 1 else ints
-                continue
-            if line.startswith("t,"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if not rows:
-        raise ValueError(f"no data rows in {in_path}")
-    data = np.asarray(rows)
+            elif line and not line.startswith("t,"):
+                break
+        else:
+            raise ValueError(f"no data rows in {in_path}")
+        f.seek(0)
+        data = np.loadtxt(f, delimiter=",", comments="#", skiprows=k, ndmin=2)
     if data.shape[1] != 4:
         raise ValueError("path CSV must have columns t,x,l_reg,r_reg")
     if delta is None:

@@ -85,6 +85,8 @@ def path_csv(tmp_path_factory):
                  id="estimate-grid-order"),
     pytest.param(_EST + ["--grid-min", "-1"], id="estimate-grid-min"),
     pytest.param(_EST + ["--grid-max", "4"], id="estimate-grid-max"),
+    pytest.param(["estimate", "--in", "{bad_path}", "--grid-count", "10"],
+                 id="estimate-in-non-numeric"),
     pytest.param(_EXP + ["--threads", "0"], id="experiment-threads"),
     pytest.param(_EXP + ["--config", "{threads0}"],
                  id="experiment-threads-config"),
@@ -101,8 +103,11 @@ def path_csv(tmp_path_factory):
 def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv, capsys):
     threads0 = tmp_path / "threads0.cfg"
     threads0.write_text("threads = 0\n")
+    bad_path = tmp_path / "bad.csv"
+    bad_path.write_text("# seed=0\nt,x,l_reg,r_reg\n0,1.5,0,0\n0.01,1.5x,0,0\n")
     out = tmp_path / "x.csv"
-    argv = [a.format(path=path_csv, threads0=threads0) for a in argv]
+    argv = [a.format(path=path_csv, threads0=threads0, bad_path=bad_path)
+            for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err

@@ -212,18 +212,20 @@ def test_run_table_default_layout_is_eighteen_cells():
     assert failures == []
 
 
-def test_replication_failure_reports_index(monkeypatch):
+@pytest.mark.parametrize("exc_type", [RuntimeError, StopIteration])
+def test_replication_failure_reports_index(monkeypatch, exc_type):
     real = experiment._cell_worker
 
     def boom(task):
         if task[-1] == 2:
-            raise RuntimeError("synthetic failure")
+            raise exc_type("synthetic failure")
         return real(task)
 
     monkeypatch.setattr(experiment, "_cell_worker", boom)
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=3, grid_count=10, base_seed=2)
-    with pytest.raises(ReplicationError, match="replication 2"):
+    with pytest.raises(ReplicationError,
+                       match=f"replication 2: {exc_type.__name__}"):
         run_cell(plan, 40, 0.3)
     # run_table files the same failure and keeps going
     tbl_plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
@@ -232,7 +234,7 @@ def test_replication_failure_reports_index(monkeypatch):
     summaries, failures = run_table(tbl_plan)
     assert summaries == []
     assert len(failures) == 1
-    assert "replication 2" in failures[0].message
+    assert f"replication 2: {exc_type.__name__}" in failures[0].message
 
 
 def test_curve_rows_and_determinism():

@@ -1,6 +1,7 @@
 """Tests for the reflected Euler scheme and path serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.stats import ks_2samp
 from refsde import (
     BarrierConfig,
     DriftSpec,
+    SamplePath,
     SimConfig,
     SimulationDivergedError,
     builtin_drift,
@@ -297,3 +299,56 @@ def test_read_path_csv_rejects_empty(tmp_path):
     f.write_text("# seed=0\nt,x,l_reg,r_reg\n")
     with pytest.raises(ValueError):
         read_path_csv(str(f), sigma=0.2, barrier=TWO_SIDED)
+
+
+_CLEAN = "# seed=3\nt,x,l_reg,r_reg\n0,1.5,0,0\n0.5,1.25,0,0\n1,0,0.125,0\n"
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(_CLEAN.replace("1.25", "1.2x"), id="non-numeric"),
+    pytest.param(_CLEAN.replace("1.25,0,0", "1.25,0"), id="ragged"),
+    pytest.param(_CLEAN.replace(",0\n", "\n").replace(",r_reg", ""),
+                 id="three-columns"),
+    pytest.param("# seed=3\nt,x,l_reg,r_reg\n0,1.5,0,0\n", id="single-row"),
+])
+def test_read_path_csv_rejects_malformed(tmp_path, body):
+    f = tmp_path / "bad.csv"
+    f.write_text(body)
+    with pytest.raises(ValueError):
+        read_path_csv(str(f), sigma=0.2, barrier=TWO_SIDED)
+
+
+def test_read_path_csv_skips_comments_blank_lines_and_crlf(tmp_path):
+    clean = tmp_path / "clean.csv"
+    clean.write_text(_CLEAN)
+    messy = tmp_path / "messy.csv"
+    rows = _CLEAN.splitlines()
+    rows[3:3] = ["# a comment between rows", ""]
+    messy.write_bytes(("\r\n".join(rows) + "\r\n").encode())
+    p = read_path_csv(str(clean), sigma=0.2, barrier=TWO_SIDED)
+    q = read_path_csv(str(messy), sigma=0.2, barrier=TWO_SIDED)
+    for name in ("times", "x", "l_reg", "r_reg"):
+        np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+    assert p.x.shape == (3,)
+    assert (p.seed, p.delta) == (q.seed, q.delta) == (3, 0.5)
+
+
+def test_read_path_csv_working_set_is_linear(tmp_path):
+    # the four float64 columns are the floor; a reader that holds one Python
+    # list per row peaks at about 8 times that
+    n = 200_000
+    p = SamplePath(delta=0.01, sigma=0.2, times=np.arange(n) * 0.01,
+                   x=np.random.default_rng(3).uniform(0.0, 3.0, n),
+                   l_reg=np.zeros(n), r_reg=np.zeros(n), seed=0,
+                   barrier=TWO_SIDED)
+    out = tmp_path / "long.csv"
+    write_path_csv(p, str(out))
+    tracemalloc.start()
+    try:
+        q = read_path_csv(str(out), sigma=0.2, barrier=TWO_SIDED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(q.x, p.x)
+    columns = 4 * n * 8
+    assert peak < 3 * columns, f"peak {peak / columns:.1f} x the columns"
