@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -235,32 +236,58 @@ def _point_worker(task):
     return float(est.values[0])
 
 
+def _run_task(worker, task):
+    try:
+        return worker(task)
+    except Exception as exc:
+        return exc
+
+
 def _map_replications(worker, tasks, threads):
-    """Evaluate tasks in submission order, serially or in worker processes.
+    """Evaluate tasks in submission order, serially or in one worker pool.
 
     Tasks hold only picklable primitives (plans, numbers, strings), and each
     carries its own stream key, so the partition into workers cannot change
-    any result.  Errors re-raise tagged with the 1-based replication index.
+    any result.  A task that raises does not stop the others: its slot holds
+    the exception in place of a result (see _checked).  One call builds at
+    most one pool, so a command sends all its replications through one call;
+    a worker process that dies raises BrokenProcessPool and ends the call.
     """
-    pool = None
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        pool = ProcessPoolExecutor(max_workers=threads)
-        stream = pool.map(worker, tasks,
-                          chunksize=max(1, len(tasks) // (4 * threads)))
-    else:
-        stream = map(worker, tasks)
-    out = []
-    try:
-        for r in range(1, len(tasks) + 1):
-            try:
-                out.append(next(stream))
-            except Exception as exc:
-                raise ReplicationError(
-                    f"replication {r}: {type(exc).__name__}: {exc}") from exc
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return out
+    call = partial(_run_task, worker)
+    if threads is None or threads <= 1 or len(tasks) <= 1:
+        return list(map(call, tasks))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(call, tasks,
+                             chunksize=max(1, len(tasks) // (4 * threads))))
+
+
+def _checked(results):
+    """results, or ReplicationError for the first slot that holds a failure."""
+    for r, res in enumerate(results, 1):
+        if isinstance(res, Exception):
+            raise ReplicationError(
+                f"replication {r}: {type(res).__name__}: {res}") from res
+    return results
+
+
+def _summary(plan: ExperimentPlan, mode: str, n: int, beta: float,
+             results) -> McSummary:
+    """One cell's McSummary from its (rase, excluded) replication results."""
+    results = _checked(results)
+    rases = np.array([v for v, _ in results])
+    excluded = np.array([e for _, e in results], dtype=float)
+    std = float(np.std(rases, ddof=1)) if rases.size > 1 else 0.0
+    return McSummary(case_id=plan.case_id, mode=mode, n=int(n),
+                     beta=float(beta), h=bandwidth(n, beta),
+                     delta=delta_of_n(n), rase_mean=float(rases.mean()),
+                     rase_std=std, rase_median=float(np.median(rases)),
+                     excluded_points_mean=float(excluded.mean()),
+                     n_replications=plan.n_replications)
+
+
+def _cell_tasks(plan: ExperimentPlan, mode: str, n: int, beta: float):
+    return [(plan, mode, int(n), float(beta), r)
+            for r in range(1, plan.n_replications + 1)]
 
 
 def run_cell(plan: ExperimentPlan, n: int, beta: float, *,
@@ -275,44 +302,39 @@ def run_cell(plan: ExperimentPlan, n: int, beta: float, *,
     cell_mode = plan.barrier_mode if mode is None else mode
     if cell_mode not in _MODE_INDEX:
         raise ValueError(f"run_cell needs a concrete barrier mode, got {cell_mode!r}")
-    h = bandwidth(n, beta)
-    delta = delta_of_n(n)
-    tasks = [(plan, cell_mode, int(n), float(beta), r)
-             for r in range(1, plan.n_replications + 1)]
-    results = _map_replications(_cell_worker, tasks, threads)
-    rases = np.array([v for v, _ in results])
-    excluded = np.array([e for _, e in results], dtype=float)
-    std = float(np.std(rases, ddof=1)) if rases.size > 1 else 0.0
-    return McSummary(case_id=plan.case_id, mode=cell_mode, n=int(n),
-                     beta=float(beta), h=h, delta=delta,
-                     rase_mean=float(rases.mean()), rase_std=std,
-                     rase_median=float(np.median(rases)),
-                     excluded_points_mean=float(excluded.mean()),
-                     n_replications=plan.n_replications)
+    bandwidth(n, beta)  # rejects a bad n or beta before any replication runs
+    tasks = _cell_tasks(plan, cell_mode, n, beta)
+    return _summary(plan, cell_mode, n, beta,
+                    _map_replications(_cell_worker, tasks, threads))
 
 
 def run_table(plan: ExperimentPlan, *, threads: int | None = None):
     """Every cell of the plan: n_list x beta_list x barrier modes.
 
-    Returns (summaries, failures).  A cell that raises becomes a CellFailure
-    entry and the run continues with the remaining cells.
+    Returns (summaries, failures).  Every replication of every cell goes
+    through one _map_replications call, so the worker pool is built once per
+    table.  A cell whose replications hold a failure, or whose summary
+    raises, becomes a CellFailure entry; the other cells are still reported.
     """
     if plan.barrier_mode == "both":
         modes = ("two_sided", "one_sided_lower")
     else:
         modes = (plan.barrier_mode,)
+    cells = [(n, beta, m) for n in plan.n_list for beta in plan.beta_list
+             for m in modes]
+    tasks = [t for n, beta, m in cells for t in _cell_tasks(plan, m, n, beta)]
+    results = _map_replications(_cell_worker, tasks, threads)
+    reps = plan.n_replications
     summaries: list[McSummary] = []
     failures: list[CellFailure] = []
-    for n in plan.n_list:
-        for beta in plan.beta_list:
-            for cell_mode in modes:
-                try:
-                    summaries.append(run_cell(plan, n, beta, mode=cell_mode,
-                                              threads=threads))
-                except Exception as exc:
-                    failures.append(CellFailure(plan.case_id, cell_mode,
-                                                int(n), float(beta),
-                                                f"{type(exc).__name__}: {exc}"))
+    for i, (n, beta, cell_mode) in enumerate(cells):
+        try:
+            summaries.append(_summary(plan, cell_mode, n, beta,
+                                      results[i * reps:(i + 1) * reps]))
+        except Exception as exc:
+            failures.append(CellFailure(plan.case_id, cell_mode, int(n),
+                                        float(beta),
+                                        f"{type(exc).__name__}: {exc}"))
     return summaries, failures
 
 
@@ -374,7 +396,8 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     scale = math.sqrt(n * h * delta) / math.sqrt(sig2)
     tasks = [(plan, mode, int(n), float(beta), float(x0), r)
              for r in range(1, n_replications + 1)]
-    estimates = np.array(_map_replications(_point_worker, tasks, threads))
+    estimates = np.array(_checked(
+        _map_replications(_point_worker, tasks, threads)))
     kept = estimates[np.isfinite(estimates)]
     dropped = int(estimates.size - kept.size)
     if kept.size == 0:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import refsde
+import refsde.experiment as experiment
 from refsde.cli import main, parse
 
 
@@ -227,6 +228,28 @@ def test_runtime_error_exits_one_without_partial_file(tmp_path, capsys):
     assert main(["estimate", "--in", str(missing), "--out", str(out)]) == 1
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+_REAL_CELL_WORKER = experiment._cell_worker
+
+
+def _cell_worker_dying_once(task):
+    # module level, so that pool processes can unpickle it
+    if task[2] == 60 and task[-1] == 2:
+        os._exit(1)
+    return _REAL_CELL_WORKER(task)
+
+
+def test_dead_worker_process_fails_the_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "_cell_worker", _cell_worker_dying_once)
+    out = tmp_path / "table.csv"
+    assert main(["experiment", "--case", "2", "--mode", "two-sided",
+                 "--n-list", "40,60", "--beta-list", "0.3", "--reps", "3",
+                 "--grid", "10", "--threads", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "refsde experiment: error:" in err
+    assert "process pool" in err
+    assert not out.exists()
 
 
 def test_main_accepts_parsed_runconfig(tmp_path):

@@ -171,6 +171,15 @@ def test_run_cell_needs_concrete_mode():
     assert s.mode == "one_sided_lower"
 
 
+@pytest.mark.parametrize("n, beta", [(1, 0.3), (40, 1.5)])
+def test_run_cell_rejects_bad_schedule_before_work(monkeypatch, n, beta):
+    monkeypatch.setattr(experiment, "_cell_worker", None)  # must not run
+    plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
+                          n_replications=2, grid_count=10)
+    with pytest.raises(ValueError):
+        run_cell(plan, n, beta)
+
+
 def test_continuous_refine_one_cell_equals_discrete_cell():
     base = dict(case_id=3, barrier_mode="two_sided", n_replications=3,
                 grid_count=20, base_seed=11)
@@ -235,6 +244,64 @@ def test_replication_failure_reports_index(monkeypatch, exc_type):
     assert summaries == []
     assert len(failures) == 1
     assert f"replication 2: {exc_type.__name__}" in failures[0].message
+
+
+_FOUR_CELLS = ExperimentPlan(case_id=2, barrier_mode="both", n_list=(40, 60),
+                             beta_list=(0.3,), n_replications=3,
+                             grid_count=10, base_seed=2)
+_REAL_CELL_WORKER = experiment._cell_worker
+_REAL_POINT_WORKER = experiment._point_worker
+
+
+# Module-level workers, so that pool processes can unpickle them.
+def _cell_worker_failing_once(task):
+    if task[1:3] == ("two_sided", 60) and task[-1] == 2:
+        raise RuntimeError("synthetic failure")
+    return _REAL_CELL_WORKER(task)
+
+
+def _point_worker_failing_once(task):
+    if task[-1] == 2:
+        raise RuntimeError("synthetic failure")
+    return _REAL_POINT_WORKER(task)
+
+
+def test_run_table_builds_one_pool(monkeypatch):
+    built = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    pooled = run_table(_FOUR_CELLS, threads=2)
+    assert len(built) == 1
+    assert len(pooled[0]) == 4
+    assert pooled == run_table(_FOUR_CELLS, threads=1)
+    assert len(built) == 1
+
+
+def test_pooled_failure_is_filed_like_serial(monkeypatch):
+    clean, _ = run_table(_FOUR_CELLS)
+    monkeypatch.setattr(experiment, "_cell_worker", _cell_worker_failing_once)
+    serial = run_table(_FOUR_CELLS)
+    summaries, failures = run_table(_FOUR_CELLS, threads=2)
+    assert (summaries, failures) == serial
+    assert [(f.mode, f.n, f.beta) for f in failures] == [("two_sided", 60, 0.3)]
+    assert failures[0].message == ("ReplicationError: replication 2: "
+                                   "RuntimeError: synthetic failure")
+    assert summaries == [s for s in clean
+                         if (s.mode, s.n) != ("two_sided", 60)]
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_normality_failure_reports_index(monkeypatch, threads):
+    monkeypatch.setattr(experiment, "_point_worker",
+                        _point_worker_failing_once)
+    with pytest.raises(ReplicationError,
+                       match="^replication 2: RuntimeError: synthetic failure$"):
+        normality_check(2, 1.5, 400, 0.3, 4, 0, threads=threads)
 
 
 def test_curve_rows_and_determinism():
