@@ -18,7 +18,12 @@ with zero drift, where both signs give the uniform law, simulated paths give
 All integrals are composite Simpson.  pi_eval and the normalizer share the
 same inner-integral rule (quad_panels panels on [l, x]), so the normalization
 error cancels and int pi = 1 holds to quadrature accuracy even when the inner
-rule itself carries discretization error.
+rule itself carries discretization error.  The inner rule runs over blocks of
+targets that hold at most _NODE_BUDGET nodes, so its working set does not grow
+with the number of targets or with quad_panels.  The normalizer's panel
+doublings share nodes: every level's nodes are bit-for-bit the even nodes of
+the next, so each doubling evaluates only the new odd nodes, and the result
+is bitwise the final level's fresh rule.
 """
 from __future__ import annotations
 
@@ -44,7 +49,9 @@ _TAIL_TOL = 1e-10     # one-sided tail truncation threshold
 _MAX_TAIL_DOUBLINGS = 40
 _NORM_RTOL = 1e-10    # outer-panel doubling stop for the normalizer
 _MAX_PANEL_DOUBLINGS = 16
-_EVAL_BLOCK = 256     # targets per block when building Simpson node matrices
+# Nodes per block of the inner rule (one target's nodes when they alone are
+# more): 2**16 float64 nodes are 0.5 MB per temporary, which stays in cache.
+_NODE_BUDGET = 2 ** 16
 
 
 class ModelNotErgodicError(RuntimeError):
@@ -67,15 +74,24 @@ def _simpson_nodes_weights(n_panels: int):
 
 
 def _integral_from(fn, lower: float, x, n_panels: int):
-    """Composite Simpson of fn on [lower, x_i] for each target x_i."""
+    """Composite Simpson of fn on [lower, x_i] for each target x_i.
+
+    Targets go in blocks of at most _NODE_BUDGET nodes, one target per
+    block when fewer than four fit.  A block holds a multiple of four
+    targets because OpenBLAS's gemv sums four rows at a time and a row left
+    over at a block's end takes a kernel with another summation order; so
+    every full block's rows take the kernel they take in one product over
+    all targets, and the values do not depend on the block size.
+    """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs1 = np.atleast_1d(xs)
     offsets, w = _simpson_nodes_weights(n_panels)
     out = np.empty(xs1.shape)
     widths = xs1 - lower
-    for i0 in range(0, xs1.size, _EVAL_BLOCK):
-        sl = slice(i0, i0 + _EVAL_BLOCK)
+    block = max(1, _NODE_BUDGET // offsets.size // 4 * 4)
+    for i0 in range(0, xs1.size, block):
+        sl = slice(i0, i0 + block)
         nodes = lower + widths[sl, None] * offsets[None, :]
         out[sl] = (np.asarray(fn(nodes)) @ w) * widths[sl]
     return float(out[0]) if scalar else out
@@ -164,11 +180,24 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
 
 
 def _converged_simpson(fn, a: float, b: float, start_panels: int) -> float:
+    """Simpson of fn on [a, b], doubling the panels until two levels agree.
+
+    The levels share nodes: level P's nodes are bit-for-bit the even nodes
+    of level 2P, so each doubling keeps the old values and calls fn only at
+    the new odd nodes.  The result is bitwise the final level's fresh rule,
+    _fixed_simpson(fn, a, b, P_final), for fn evaluated pointwise.
+    """
     panels = start_panels
-    prev = _fixed_simpson(fn, a, b, panels)
+    offsets, w = _simpson_nodes_weights(panels)
+    vals = np.asarray(fn(a + (b - a) * offsets))
+    prev = float(vals @ w) * (b - a)
     for _ in range(_MAX_PANEL_DOUBLINGS):
         panels *= 2
-        cur = _fixed_simpson(fn, a, b, panels)
+        offsets, w = _simpson_nodes_weights(panels)
+        old, vals = vals, np.empty(offsets.size)
+        vals[0::2] = old
+        vals[1::2] = fn(a + (b - a) * offsets[1::2])
+        cur = float(vals @ w) * (b - a)
         if abs(cur - prev) <= _NORM_RTOL * max(1.0, abs(cur)):
             return cur
         prev = cur

@@ -20,6 +20,14 @@ from refsde import (
     pi_eval,
     sigma_eval,
 )
+from refsde.density import (
+    _NODE_BUDGET,
+    _NORM_RTOL,
+    _converged_simpson,
+    _fixed_simpson,
+    _simpson_nodes_weights,
+    _unnormalized,
+)
 
 TWO_SIDED = BarrierConfig.two_sided(0.0, 3.0)
 SIGMA = 0.2
@@ -174,3 +182,86 @@ def test_sigma_eval_raises_where_mass_vanishes():
     dens = invariant_density(_const_drift(6.0), SIGMA, TWO_SIDED)
     with pytest.raises(UndefinedVarianceError):
         sigma_eval(dens, f_eval(dens, epanechnikov(0.005), 2.99))
+
+
+def _smooth(x):
+    return np.exp(np.sin(3.0 * np.asarray(x, dtype=float)))
+
+
+def _case3_two_sided_g(x):
+    # the normalizer's integrand for case 3, two-sided, at the default panels
+    return _unnormalized(builtin_drift(3), SIGMA, 0.0, x, 1024)
+
+
+@pytest.mark.parametrize("start", [1024, 1000])
+@pytest.mark.parametrize("fn", [_smooth, _case3_two_sided_g],
+                         ids=["smooth", "case3-g"])
+def test_converged_simpson_evaluates_each_node_once(fn, start):
+    seen = []
+
+    def counting(x):
+        seen.append(np.array(x, dtype=float))
+        return fn(x)
+
+    z = _converged_simpson(counting, 0.0, 3.0, start)
+    nodes = np.sort(np.concatenate(seen))
+    p_final = (nodes.size - 1) // 2
+    assert nodes.size == 2 * p_final + 1
+    # the levels went start, 2 start, ..., p_final and stopped at the first
+    # pair of fresh rules that agree
+    levels = [start]
+    while levels[-1] < p_final:
+        levels.append(2 * levels[-1])
+    assert levels[-1] == p_final and len(levels) >= 2
+    fresh = [_fixed_simpson(fn, 0.0, 3.0, p) for p in levels]
+    agree = [abs(c - p) <= _NORM_RTOL * max(1.0, abs(c))
+             for p, c in zip(fresh, fresh[1:])]
+    assert agree[-1] and not any(agree[:-1])
+    # the evaluated nodes are exactly the final level's, each once
+    np.testing.assert_array_equal(nodes, 3.0 * np.linspace(0.0, 1.0,
+                                                           2 * p_final + 1))
+    np.testing.assert_allclose(z, fresh[-1], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("panels, rtol", [(1024, 1e-14), (2 ** 15, 0.0)])
+def test_inner_integral_blocks_match_single_targets(panels, rtol):
+    # one target is a BLAS dot and a block a gemv, which sum the 2P + 1 terms
+    # in different orders (up to 1.3e-15 apart with OpenBLAS); at 2**15
+    # panels a block holds one target, so the two are the same call
+    d = _raw(builtin_drift(2), panels)
+    xs = np.linspace(0.0, 3.0, 97)
+    one_by_one = np.array([inner_integral(d, x) for x in xs])
+    np.testing.assert_allclose(inner_integral(d, xs), one_by_one,
+                               rtol=rtol, atol=0.0)
+
+
+def test_inner_integral_blocks_match_one_unblocked_product():
+    # blocks of whole groups of four targets give what one Simpson product
+    # over every target at once gives
+    d = _raw(builtin_drift(2), 1024)
+    xs = np.linspace(0.0, 3.0, 96)
+    offsets, w = _simpson_nodes_weights(1024)
+    want = (d.drift.fn(0.0 + xs[:, None] * offsets[None, :]) @ w) * xs
+    np.testing.assert_allclose(inner_integral(d, xs), want,
+                               rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("panels", [7, 1024, 2 ** 15])
+def test_inner_rule_blocks_stay_within_node_budget(panels):
+    sizes = []
+    base = builtin_drift(2)
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return base.fn(x)
+
+    d = _raw(DriftSpec("recording", recording), panels)
+    xs = np.linspace(0.0, 3.0, 61)
+    inner_integral(d, xs)
+    pi_eval(d, xs)
+    per_target = 2 * panels + 1
+    assert sum(sizes) == 2 * xs.size * per_target
+    if per_target > _NODE_BUDGET:
+        assert set(sizes) == {per_target}
+    else:
+        assert max(sizes) <= _NODE_BUDGET
