@@ -11,10 +11,18 @@ dL = max(0, A - (state - l)) with A the supremum of the negated displacement;
 the upper one is dR = max(0, B + (state - u)) with B the supremum of the
 positive displacement.  This yields the regulator increments the estimators
 consume, at the usual Euler-Maruyama convergence rate.
+
+One kernel, `_steps`, takes every step, for `step` and `simulate_path`
+alike.  The noise is drawn and transformed as arrays first (the scaled
+normal sigma * sqrt(delta) * Z, then U = 1 - Uniform[0, 1)), and the kernel
+turns it into Python floats one block at a time, together with the
+radicand term 2 sigma^2 delta ln U; a step is then the drift call plus
+inline float arithmetic, with the bridge maxima written out.
 """
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -38,6 +46,11 @@ __all__ = [
 # Pure floating-point guard: reflection algebra keeps the state inside the
 # domain exactly, so any overshoot beyond this is a genuine failure.
 _CLAMP = 1e-12
+
+# Steps per kernel call in `simulate_path`.  The kernel holds one block's
+# draws and records as Python floats (about 2 MB at 2**14 steps), so a long
+# path's working set is its arrays.
+_BLOCK = 2**14
 
 
 class SimulationDivergedError(RuntimeError):
@@ -128,43 +141,87 @@ def _bridge_max(y: float, sigma: float, delta: float, u: float) -> float:
     return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * math.log(u)))
 
 
-def _advance(state: float, b_x: float, sigma: float, delta: float,
-             lower: float, upper, w: float, u_lo: float, u_hi: float):
-    """One reflected Euler step; upper is None in one-sided mode.
+def _draws(cfg: SimConfig, rng: np.random.Generator, count: int):
+    """Draw ``count`` steps' noise: all normals, then all lower uniforms, then
+    (two-sided mode only) all upper uniforms.
 
-    Returns (next_state, dL, dR).  Exactly one of dL, dR can be nonzero: the
-    lower barrier is handled first and, if it fired, the upper sample is
-    skipped (both barriers in one step is an o(delta) event).
+    Returns (s, u_lo, u_hi) as arrays, u_hi None in one-sided mode, with
+    s = sigma * (Z * sqrt(delta)) and U = 1 - Uniform[0, 1) in (0, 1].
     """
-    d = b_x * delta + sigma * w
-    y = state + d
-    a_sup = _bridge_max(-d, sigma, delta, u_lo)
-    dl = a_sup - (state - lower)
-    if dl > 0.0:
-        dr = 0.0
-        nxt = y + dl
-    else:
-        dl = 0.0
-        dr = 0.0
-        nxt = y
-        if upper is not None:
-            b_sup = _bridge_max(d, sigma, delta, u_hi)
-            dr = b_sup + (state - upper)
-            if dr > 0.0:
-                nxt = y - dr
-            else:
-                dr = 0.0
+    s = rng.standard_normal(count)
+    s *= math.sqrt(cfg.delta)
+    s *= cfg.sigma
+    u_lo = rng.random(count)
+    np.subtract(1.0, u_lo, out=u_lo)
+    if cfg.barrier.mode != "two_sided":
+        return s, u_lo, None
+    u_hi = rng.random(count)
+    np.subtract(1.0, u_hi, out=u_hi)
+    return s, u_lo, u_hi
+
+
+def _steps(cfg: SimConfig, state: float, s, u_lo, u_hi, xs, dls, drs) -> float:
+    """The reflected Euler kernel: one step per entry of the draw arrays.
+
+    s, u_lo and u_hi are a slice of `_draws` (u_hi None in one-sided mode).
+    Appends each next state, dL and dR to the lists xs, dls, drs and returns
+    the last state; a failing step raises SimulationDivergedError after
+    len(xs) completed steps.  Exactly one of dL, dR can be nonzero: the lower
+    barrier is handled first and, if it fired, the upper sample is skipped
+    (both barriers in one step is an o(delta) event).
+    """
+    drift_fn = cfg.drift.fn
+    delta = cfg.delta
+    lower = cfg.barrier.lower
+    upper = cfg.barrier.upper if u_hi is not None else None
+    # one-sided: the largest float, so +inf still fails the domain check
+    hi = upper if upper is not None else sys.float_info.max
+    # q = 2 sigma^2 delta ln U, the bridge-maximum radicand term of
+    # `_bridge_max`, evaluated in its order; math.log, not np.log, whose last
+    # bit differs on some inputs.
+    c = 2.0 * cfg.sigma * cfg.sigma * delta
+    log, sqrt = math.log, math.sqrt
+    q_lo = [c * log(u) for u in u_lo.tolist()]
+    # one-sided mode never reads qh; q_lo only fills the zip
+    q_hi = [c * log(u) for u in u_hi.tolist()] if u_hi is not None else q_lo
+    add_x, add_l, add_r = xs.append, dls.append, drs.append
+    for s_k, ql, qh in zip(s.tolist(), q_lo, q_hi):
+        d = float(drift_fn(state)) * delta + s_k
+        y = state + d
+        dl = 0.5 * (-d + sqrt(d * d - ql)) - (state - lower)
+        if dl > 0.0:
+            dr = 0.0
+            nxt = y + dl
+        else:
+            dl = 0.0
+            dr = 0.0
+            nxt = y
+            if upper is not None:
+                dr = 0.5 * (d + sqrt(d * d - qh)) + (state - upper)
+                if dr > 0.0:
+                    nxt = y - dr
+                else:
+                    dr = 0.0
+        if not lower <= nxt <= hi:
+            nxt = _settle(nxt, lower, hi)
+        add_x(nxt)
+        add_l(dl)
+        add_r(dr)
+        state = nxt
+    return state
+
+
+def _settle(nxt: float, lower: float, hi: float) -> float:
+    """Clamp a state within _CLAMP outside [lower, hi]; raise beyond it."""
     if not math.isfinite(nxt):
         raise SimulationDivergedError("state became non-finite")
     if nxt < lower:
         if lower - nxt > _CLAMP:
             raise SimulationDivergedError("state undershot the lower barrier")
-        nxt = lower
-    elif upper is not None and nxt > upper:
-        if nxt - upper > _CLAMP:
-            raise SimulationDivergedError("state overshot the upper barrier")
-        nxt = upper
-    return nxt, dl, dr
+        return lower
+    if nxt - hi > _CLAMP:
+        raise SimulationDivergedError("state overshot the upper barrier")
+    return hi
 
 
 def step(state: float, cfg: SimConfig, rng: np.random.Generator):
@@ -176,66 +233,50 @@ def step(state: float, cfg: SimConfig, rng: np.random.Generator):
     """
     if not cfg.barrier.contains(state):
         raise ValueError("state must lie in the barrier domain")
-    w = rng.standard_normal() * math.sqrt(cfg.delta)
-    u_lo = 1.0 - rng.random()
-    two_sided = cfg.barrier.mode == "two_sided"
-    u_hi = 1.0 - rng.random() if two_sided else 1.0
-    b_x = float(cfg.drift.fn(state))
-    return _advance(float(state), b_x, cfg.sigma, cfg.delta, cfg.barrier.lower,
-                    cfg.barrier.upper if two_sided else None, float(w), u_lo, u_hi)
+    xs, dls, drs = [], [], []
+    _steps(cfg, float(state), *_draws(cfg, rng, 1), xs, dls, drs)
+    return xs[0], dls[0], drs[0]
 
 
 def simulate_path(cfg: SimConfig) -> SamplePath:
     """Simulate n_steps reflected Euler steps after the burn-in.
 
-    Fully deterministic given cfg.seed.  Draws are batched per channel
-    (normals, then lower uniforms, then upper uniforms), so a path is
-    reproducible only through this function, not by replaying `step`.
+    Fully deterministic given cfg.seed.  The whole path's draws are taken at
+    once per channel (normals, then lower uniforms, then upper uniforms) and
+    transformed once as arrays, so a path is reproducible only through this
+    function, not by replaying `step`.  The one stepping kernel that `step`
+    also runs then takes them as Python floats, converted one block of at
+    most _BLOCK steps at a time, so the working set beyond the path's own
+    arrays stays bounded.  The regulators are cumulative sums of the
+    recorded increments.
     """
     total = cfg.burn_in + cfg.n_steps
-    rng = stream_rng(cfg.seed)
-    sqrt_delta = math.sqrt(cfg.delta)
-    w = (rng.standard_normal(total) * sqrt_delta).tolist()
-    u_lo = (1.0 - rng.random(total)).tolist()
-    two_sided = cfg.barrier.mode == "two_sided"
-    u_hi = (1.0 - rng.random(total)).tolist() if two_sided else [1.0] * total
-
-    lower = cfg.barrier.lower
-    upper = cfg.barrier.upper if two_sided else None
-    sigma = cfg.sigma
-    delta = cfg.delta
-    drift_fn = cfg.drift.fn
-
-    x = np.empty(cfg.n_steps + 1)
-    l_reg = np.empty(cfg.n_steps + 1)
-    r_reg = np.empty(cfg.n_steps + 1)
-
-    state = cfg.start
-    k = -1  # current step index, for error context
-    try:
-        for k in range(cfg.burn_in):
-            state, _, _ = _advance(state, float(drift_fn(state)), sigma, delta,
-                                   lower, upper, w[k], u_lo[k], u_hi[k])
-        x[0] = state
-        l_reg[0] = 0.0
-        r_reg[0] = 0.0
-        cum_l = 0.0
-        cum_r = 0.0
-        for i in range(cfg.n_steps):
-            k = cfg.burn_in + i
-            state, dl, dr = _advance(state, float(drift_fn(state)), sigma, delta,
-                                     lower, upper, w[k], u_lo[k], u_hi[k])
-            cum_l += dl
-            cum_r += dr
-            x[i + 1] = state
-            l_reg[i + 1] = cum_l
-            r_reg[i + 1] = cum_r
-    except SimulationDivergedError as e:
-        raise SimulationDivergedError(str(e), step_index=k) from None
-
-    times = np.arange(cfg.n_steps + 1) * delta
-    return SamplePath(delta=delta, sigma=sigma, times=times, x=x, l_reg=l_reg,
-                      r_reg=r_reg, seed=cfg.seed, barrier=cfg.barrier)
+    s, u_lo, u_hi = _draws(cfg, stream_rng(cfg.seed), total)
+    # index k holds the state after k steps and the increments of the k-th
+    x = np.empty(total + 1)
+    dl = np.empty(total + 1)
+    dr = np.empty(total + 1)
+    x[0] = state = cfg.start
+    for a in range(0, total, _BLOCK):
+        b = min(a + _BLOCK, total)
+        xs, dls, drs = [], [], []
+        try:
+            state = _steps(cfg, state, s[a:b], u_lo[a:b],
+                           None if u_hi is None else u_hi[a:b], xs, dls, drs)
+        except SimulationDivergedError as e:
+            raise SimulationDivergedError(str(e), step_index=a + len(xs)) from None
+        x[a + 1:b + 1] = xs
+        dl[a + 1:b + 1] = dls
+        dr[a + 1:b + 1] = drs
+    del s, u_lo, u_hi  # free the draws before the regulators and times
+    keep = slice(cfg.burn_in, None)
+    x, l_reg, r_reg = x[keep], dl[keep], dr[keep]
+    l_reg[0] = r_reg[0] = 0.0
+    np.cumsum(l_reg, out=l_reg)
+    np.cumsum(r_reg, out=r_reg)
+    times = np.arange(cfg.n_steps + 1) * cfg.delta
+    return SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times, x=x,
+                      l_reg=l_reg, r_reg=r_reg, seed=cfg.seed, barrier=cfg.barrier)
 
 
 def simulate_fine(cfg: SimConfig, refine: int) -> SamplePath:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
+import refsde.simulate as sim_module
+
 from refsde import (
     BarrierConfig,
     DriftSpec,
@@ -236,6 +238,206 @@ def test_divergence_reports_step_index():
         with pytest.raises(SimulationDivergedError) as ei:
             simulate_path(cfg)
     assert ei.value.step_index == 1
+
+
+# --- the pre-kernel stepping loop, kept as the byte-identity oracle ----------
+# A literal copy of the per-step `_advance` / `_bridge_max` loop that the flat
+# kernel replaced.  The kernel must reproduce it bit for bit.
+
+def _oracle_bridge_max(y, sigma, delta, u):
+    return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * math.log(u)))
+
+
+def _oracle_advance(state, b_x, sigma, delta, lower, upper, w, u_lo, u_hi):
+    d = b_x * delta + sigma * w
+    y = state + d
+    a_sup = _oracle_bridge_max(-d, sigma, delta, u_lo)
+    dl = a_sup - (state - lower)
+    if dl > 0.0:
+        dr = 0.0
+        nxt = y + dl
+    else:
+        dl = 0.0
+        dr = 0.0
+        nxt = y
+        if upper is not None:
+            b_sup = _oracle_bridge_max(d, sigma, delta, u_hi)
+            dr = b_sup + (state - upper)
+            if dr > 0.0:
+                nxt = y - dr
+            else:
+                dr = 0.0
+    if not math.isfinite(nxt):
+        raise SimulationDivergedError("state became non-finite")
+    if nxt < lower:
+        if lower - nxt > 1e-12:
+            raise SimulationDivergedError("state undershot the lower barrier")
+        nxt = lower
+    elif upper is not None and nxt > upper:
+        if nxt - upper > 1e-12:
+            raise SimulationDivergedError("state overshot the upper barrier")
+        nxt = upper
+    return nxt, dl, dr
+
+
+def _oracle_step(state, cfg, rng):
+    w = rng.standard_normal() * math.sqrt(cfg.delta)
+    u_lo = 1.0 - rng.random()
+    two_sided = cfg.barrier.mode == "two_sided"
+    u_hi = 1.0 - rng.random() if two_sided else 1.0
+    b_x = float(cfg.drift.fn(state))
+    return _oracle_advance(float(state), b_x, cfg.sigma, cfg.delta,
+                           cfg.barrier.lower,
+                           cfg.barrier.upper if two_sided else None,
+                           float(w), u_lo, u_hi)
+
+
+def _oracle_path(cfg):
+    """(x, l_reg, r_reg) of the pre-kernel `simulate_path`."""
+    total = cfg.burn_in + cfg.n_steps
+    rng = stream_rng(cfg.seed)
+    sqrt_delta = math.sqrt(cfg.delta)
+    w = (rng.standard_normal(total) * sqrt_delta).tolist()
+    u_lo = (1.0 - rng.random(total)).tolist()
+    two_sided = cfg.barrier.mode == "two_sided"
+    u_hi = (1.0 - rng.random(total)).tolist() if two_sided else [1.0] * total
+    lower = cfg.barrier.lower
+    upper = cfg.barrier.upper if two_sided else None
+    x = np.empty(cfg.n_steps + 1)
+    l_reg = np.empty(cfg.n_steps + 1)
+    r_reg = np.empty(cfg.n_steps + 1)
+    state = cfg.start
+    k = -1
+    try:
+        for k in range(cfg.burn_in):
+            state, _, _ = _oracle_advance(state, float(cfg.drift.fn(state)),
+                                          cfg.sigma, cfg.delta, lower, upper,
+                                          w[k], u_lo[k], u_hi[k])
+        x[0] = state
+        l_reg[0] = 0.0
+        r_reg[0] = 0.0
+        cum_l = 0.0
+        cum_r = 0.0
+        for i in range(cfg.n_steps):
+            k = cfg.burn_in + i
+            state, dl, dr = _oracle_advance(state, float(cfg.drift.fn(state)),
+                                            cfg.sigma, cfg.delta, lower, upper,
+                                            w[k], u_lo[k], u_hi[k])
+            cum_l += dl
+            cum_r += dr
+            x[i + 1] = state
+            l_reg[i + 1] = cum_l
+            r_reg[i + 1] = cum_r
+    except SimulationDivergedError as e:
+        raise SimulationDivergedError(str(e), step_index=k) from None
+    return x, l_reg, r_reg
+
+
+def _assert_matches_oracle(cfg):
+    p = simulate_path(cfg)
+    x, l_reg, r_reg = _oracle_path(cfg)
+    assert np.array_equal(p.x, x)
+    assert np.array_equal(p.l_reg, l_reg)
+    assert np.array_equal(p.r_reg, r_reg)
+
+
+_BARRIERS = {"two_sided": TWO_SIDED, "one_sided": BarrierConfig.one_sided(0.0)}
+
+
+@pytest.mark.parametrize("burn_in", [0, 37])
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_simulate_path_is_bitwise_the_oracle(case, mode, burn_in):
+    for seed in (0, 7, (4, 2)):
+        _assert_matches_oracle(SimConfig(
+            drift=builtin_drift(case), sigma=0.2, barrier=_BARRIERS[mode],
+            n_steps=400, delta=0.01, seed=seed, burn_in=burn_in))
+
+
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+def test_long_path_is_bitwise_the_oracle_across_blocks(mode):
+    # several draw blocks, with the burn-in ending inside the second one
+    block = sim_module._BLOCK
+    _assert_matches_oracle(SimConfig(
+        drift=builtin_drift(2), sigma=0.2, barrier=_BARRIERS[mode],
+        n_steps=block + 500, delta=0.01, seed=11, burn_in=block + 77))
+
+
+@pytest.mark.parametrize("drift, mode", [(-5.0, "one_sided"), (-5.0, "two_sided"),
+                                         (5.0, "two_sided")])
+def test_pinned_path_is_bitwise_the_oracle(drift, mode):
+    # a drift into a barrier reflects on nearly every step, so each step's
+    # regulator increment is a bridge-maximum draw.  A transform of the
+    # uniforms that is off in the last bit (np.log for math.log) moves about
+    # one lower-barrier state in 10**4; at the upper barrier the state near 3
+    # is too coarse to keep those bits.
+    cfg = SimConfig(drift=_const_drift(drift), sigma=0.2,
+                    barrier=_BARRIERS[mode], n_steps=20_000, delta=0.01, seed=3)
+    _assert_matches_oracle(cfg)
+
+
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+def test_step_is_bitwise_the_oracle_step(mode):
+    # large noise so both barriers fire from the states near them
+    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=_BARRIERS[mode],
+                    n_steps=1, delta=0.05, seed=0)
+    fired_l = fired_r = 0
+    for seed, state in enumerate(np.linspace(0.0, 3.0, 61).tolist()):
+        rng, oracle_rng = stream_rng(seed), stream_rng(seed)
+        for _ in range(5):  # a chain checks the stream is consumed alike
+            got = step(state, cfg, rng)
+            want = _oracle_step(state, cfg, oracle_rng)
+            assert got == want
+            assert all(type(v) is float for v in got)
+            fired_l += got[1] > 0.0
+            fired_r += got[2] > 0.0
+            state = got[0]
+    assert fired_l > 0
+    assert (fired_r > 0) == (mode == "two_sided")
+
+
+def test_divergence_index_is_absolute_in_and_after_the_burn_in():
+    # case 2's one-sided path runs off to infinity after the first draw block
+    for burn_in, n_steps in ((100, 40_000), (40_000, 100)):
+        cfg = SimConfig(drift=builtin_drift(2), sigma=0.2,
+                        barrier=BarrierConfig.one_sided(0.0), n_steps=n_steps,
+                        delta=0.01, seed=7, burn_in=burn_in)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergedError) as ei:
+                simulate_path(cfg)
+            with pytest.raises(SimulationDivergedError) as oracle:
+                _oracle_path(cfg)
+        assert ei.value.step_index == oracle.value.step_index == 35669
+        assert str(ei.value) == str(oracle.value)
+        assert str(ei.value) == "step 35669: state became non-finite"
+
+
+def test_step_error_has_no_step_prefix():
+    bad = DriftSpec("exploder",
+                    lambda x: 1e300 * (np.asarray(x, dtype=float) + 1.0))
+    cfg = SimConfig(drift=bad, sigma=0.0, barrier=BarrierConfig.one_sided(0.0),
+                    n_steps=1, delta=1e10, x0=1.0, seed=0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SimulationDivergedError) as ei:
+            step(1.0, cfg, stream_rng(0))
+    assert str(ei.value) == "state became non-finite"
+    assert ei.value.step_index is None
+
+
+def test_simulate_path_working_set_is_linear():
+    # the path's own arrays are 4 floats per step and the draw arrays 3;
+    # a Python float for every draw of the path at once would add about 4
+    # floats per draw, 19 floats per step in all
+    n = 2**17
+    cfg = SimConfig(drift=builtin_drift(2), sigma=0.2, barrier=TWO_SIDED,
+                    n_steps=n, delta=0.01, seed=7, burn_in=100)
+    tracemalloc.start()
+    try:
+        simulate_path(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * 8, f"peak {peak / (n * 8):.1f} floats per step"
 
 
 def _reflection_gap_violations(p, thresh):
