@@ -5,15 +5,16 @@ writes one CSV whose first line is a `# seed=...` comment, making each output
 traceable to its RNG stream; reruns with identical flags produce byte-identical
 files, independently of `--threads`.
 
-`--config FILE` preloads flags from a text file with one `key = value` per
-line and `#` comments; flags given on the command line take precedence.
-Unknown config keys are usage errors.  Exit codes: 0 success, 1 runtime
-failure (partially written outputs are removed), 2 usage error.  `parse`
-checks only the command shape (flags, keys, types, required flags, mode
-names, `--threads >= 1`).  Every other value is checked once, by the library
-object or function that uses it; the runners build these before the
-simulation or quadrature starts, and `main` reports their ValueError as a
-usage error too.
+`--config FILE` reads a text file with one `key = value` per line and `#`
+comments; each line is read as the flag `--key=value` placed before the
+command line's flags, so the command line wins and argparse converts and
+checks both alike.  Unknown config keys are usage errors.  Exit codes: 0
+success, 1 runtime failure (partially written outputs are removed), 2 usage
+error.  `parse` checks only the command shape (flags, keys, types, required
+flags, the mode names, `estimate`'s type and kernel names, `--threads >= 1`).
+Every other value is checked once, by the library object or function that
+uses it; the runners build these before the simulation or quadrature starts,
+and `main` reports their ValueError as a usage error too.
 """
 from __future__ import annotations
 
@@ -68,142 +69,108 @@ def _threads(text: str) -> int:
     return value
 
 
-# dest -> (converter, flag, help text).  Defaults live in _DEFAULTS so that
-# config files can fill any gap the command line leaves; None defaults mean
-# "derived later" or "optional".
-_COMMON = {
-    "case": (int, "--case", "drift case id: 1, 2 or 3"),
-    "sigma": (float, "--sigma", "diffusion coefficient (state units; default 0.2)"),
-    "lower": (float, "--lower", "lower barrier position (default 0)"),
-    "upper": (float, "--upper", "upper barrier / grid upper edge (default 3)"),
-    "seed": (int, "--seed", "RNG stream seed (default 0)"),
-    "out": (str, "--out", "output CSV path"),
-    "config": (str, "--config", "key = value file preloading any flag"),
+# dest -> (converter, help text).  The flag is --dest with dashes, except
+# --in for in_path.
+_FLAGS = {
+    "case": (int, "drift case id: 1, 2 or 3"),
+    "in_path": (str, "input path CSV (t,x,l_reg,r_reg)"),
+    "n": (int, "number of recorded steps (path length n+1)"),
+    "x0": (float, "start state / evaluation point (default: midpoint,"
+                  " or lower+1 one-sided)"),
+    "beta": (float, "bandwidth exponent, h = n^(-beta)"),
+    "delta": (float, "time step (default: n^(-2/3))"),
+    "sigma": (float, "diffusion coefficient (state units)"),
+    "mode": (str, "barrier mode"),
+    "lower": (float, "lower barrier position"),
+    "upper": (float, "upper barrier / grid upper edge"),
+    "burn_in": (int, "discarded initial steps"),
+    "refine": (int, "fine-grid subdivision per step"),
+    "grid": (int, "number of evaluation points"),
+    "h": (float, "kernel bandwidth (state units)"),
+    "quad_panels": (int, "Simpson panels per integral"),
+    "kernel": (str, "kernel name"),
+    "type": (str, "estimator type: discrete or continuous"),
+    "grid_min": (float, "grid lower edge (default: lower)"),
+    "grid_max": (float, "grid upper edge (default: upper)"),
+    "grid_count": (int, "number of grid points"),
+    "n_list": (_int_list, "comma list of n values"),
+    "beta_list": (_float_list, "comma list of bandwidth exponents"),
+    "reps": (int, "Monte Carlo replications"),
+    "epsilon": (float, "rate-condition epsilon in (0, 1/2)"),
+    "seed": (int, "RNG stream seed"),
+    "threads": (_threads, "worker process cap, the CPU count by default;"
+                          " never changes results"),
+    "out": (str, "output CSV path"),
 }
 
+_REQUIRED = object()
+_TWO_MODES = ("two-sided", "one-sided")
+_MODEL = {"sigma": 0.2, "mode": _TWO_MODES, "lower": 0.0, "upper": 3.0}
+
+# subcommand -> {dest: default, _REQUIRED, or a tuple of choices whose first is
+# the default}.  None means "derived later" or "optional"; a string default
+# goes through the flag's converter like a command-line value.
 _SPECS: dict[str, dict] = {
-    "simulate": {
-        "flags": ["case", "n", "delta", "sigma", "mode", "lower", "upper",
-                  "x0", "burn_in", "refine", "seed", "out", "config"],
-        "required": ["case", "n", "out"],
-        "defaults": {"sigma": 0.2, "mode": "two_sided", "lower": 0.0,
-                     "upper": 3.0, "x0": None, "burn_in": 0, "refine": 1,
-                     "seed": 0, "delta": None},
-        "modes": ("two-sided", "one-sided"),
-    },
-    "density": {
-        "flags": ["case", "sigma", "mode", "lower", "upper", "grid", "h",
-                  "quad_panels", "seed", "out", "config"],
-        "required": ["case", "out"],
-        "defaults": {"sigma": 0.2, "mode": "two_sided", "lower": 0.0,
-                     "upper": 3.0, "grid": 300, "h": 0.1,
-                     "quad_panels": 1024, "seed": 0},
-        "modes": ("two-sided", "one-sided"),
-    },
-    "estimate": {
-        "flags": ["in_path", "sigma", "mode", "lower", "upper", "h", "kernel",
-                  "type", "grid_min", "grid_max", "grid_count", "out",
-                  "config"],
-        "required": ["in_path", "out"],
-        "defaults": {"sigma": 0.2, "mode": "two_sided", "lower": 0.0,
-                     "upper": 3.0, "h": 0.1, "kernel": "epanechnikov",
-                     "type": "discrete", "grid_min": None, "grid_max": None,
-                     "grid_count": 300},
-        "modes": ("two-sided", "one-sided"),
-    },
-    "experiment": {
-        "flags": ["case", "mode", "sigma", "n_list", "beta_list", "reps",
-                  "grid", "type", "refine", "lower", "upper", "x0", "burn_in",
-                  "seed", "threads", "out", "config"],
-        "required": ["case", "out"],
-        "defaults": {"mode": "both", "sigma": 0.2,
-                     "n_list": (400, 900, 1600), "beta_list": (0.3, 0.2, 0.15),
-                     "reps": 1000, "grid": 300, "type": "discrete",
-                     "refine": 10, "lower": 0.0, "upper": 3.0, "x0": None,
-                     "burn_in": 0, "seed": 0, "threads": None},
-        "modes": ("two-sided", "one-sided", "both"),
-    },
-    "normality": {
-        "flags": ["case", "x0", "n", "beta", "reps", "sigma", "mode", "type",
-                  "refine", "lower", "upper", "burn_in", "epsilon",
-                  "quad_panels", "seed", "threads", "out", "config"],
-        "required": ["case", "x0", "n", "beta"],
-        "defaults": {"reps": 500, "sigma": 0.2, "mode": "two_sided",
-                     "type": "discrete", "refine": 10, "lower": 0.0,
-                     "upper": 3.0, "burn_in": 0, "epsilon": 0.01,
-                     "quad_panels": 1024, "seed": 0, "threads": None,
-                     "out": None},
-        "modes": ("two-sided", "one-sided"),
-    },
-}
-
-_EXTRA = {
-    "n": (int, "--n", "number of recorded steps (path length n+1)"),
-    "delta": (float, "--delta", "time step (default n^(-2/3))"),
-    "mode": (str, "--mode", "barrier mode (default per subcommand)"),
-    "x0": (float, "--x0", "start state / evaluation point (default: midpoint,"
-                          " or lower+1 one-sided)"),
-    "burn_in": (int, "--burn-in", "discarded initial steps (default 0)"),
-    "refine": (int, "--refine", "fine-grid subdivision per step"),
-    "grid": (int, "--grid", "number of evaluation points (default 300)"),
-    "h": (float, "--h", "kernel bandwidth (state units, default 0.1)"),
-    "quad_panels": (int, "--quad-panels", "Simpson panels per integral"
-                                          " (default 1024)"),
-    "in_path": (str, "--in", "input path CSV (t,x,l_reg,r_reg)"),
-    "kernel": (str, "--kernel", "kernel name (epanechnikov)"),
-    "type": (str, "--type", "estimator type: discrete or continuous"),
-    "grid_min": (float, "--grid-min", "grid lower edge (default: lower)"),
-    "grid_max": (float, "--grid-max", "grid upper edge (default: upper)"),
-    "grid_count": (int, "--grid-count", "number of grid points (default 300)"),
-    "n_list": (_int_list, "--n-list", "comma list of n values"
-                                      " (default 400,900,1600)"),
-    "beta_list": (_float_list, "--beta-list", "comma list of bandwidth"
-                                              " exponents (default 0.3,0.2,0.15)"),
-    "reps": (int, "--reps", "Monte Carlo replications"),
-    "beta": (float, "--beta", "bandwidth exponent, h = n^(-beta)"),
-    "threads": (_threads, "--threads", "worker process cap (default: cpu"
-                                       " count); never changes results"),
-    "epsilon": (float, "--epsilon", "rate-condition epsilon in (0, 1/2)"
-                                    " (default 0.01)"),
+    "simulate": {"case": _REQUIRED, "n": _REQUIRED, "delta": None, **_MODEL,
+                 "x0": None, "burn_in": 0, "refine": 1, "seed": 0,
+                 "out": _REQUIRED},
+    "density": {"case": _REQUIRED, **_MODEL, "grid": 300, "h": 0.1,
+                "quad_panels": 1024, "seed": 0, "out": _REQUIRED},
+    "estimate": {"in_path": _REQUIRED, **_MODEL, "h": 0.1,
+                 "kernel": ("epanechnikov",),
+                 "type": ("discrete", "continuous"), "grid_min": None,
+                 "grid_max": None, "grid_count": 300, "out": _REQUIRED},
+    "experiment": {"case": _REQUIRED, **_MODEL,
+                   "mode": ("both",) + _TWO_MODES, "n_list": "400,900,1600",
+                   "beta_list": "0.3,0.2,0.15", "reps": 1000, "grid": 300,
+                   "type": "discrete", "refine": 10, "x0": None, "burn_in": 0,
+                   "seed": 0, "threads": os.cpu_count() or 1,
+                   "out": _REQUIRED},
+    "normality": {"case": _REQUIRED, "x0": _REQUIRED, "n": _REQUIRED,
+                  "beta": _REQUIRED, "reps": 500, **_MODEL,
+                  "type": "discrete", "refine": 10, "burn_in": 0,
+                  "epsilon": 0.01, "quad_panels": 1024, "seed": 0,
+                  "threads": os.cpu_count() or 1, "out": None},
 }
 
 
-def _flag_spec(dest: str):
-    return _COMMON.get(dest) or _EXTRA[dest]
+def _flag(dest: str) -> str:
+    return "--in" if dest == "in_path" else "--" + dest.replace("_", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and its subcommand parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="refsde",
         description="Reflected-diffusion simulation and drift estimation.")
-    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand",
+                                 required=True)
+    by_name = {}
     for name, spec in _SPECS.items():
-        sp = subs.add_parser(name, help=f"{name} runner",
-                             description=_help_line(name, spec))
-        for dest in spec["flags"]:
-            conv, flag, help_text = _flag_spec(dest)
-            kwargs = {"dest": dest, "type": conv, "default": None,
-                      "help": help_text}
-            if dest == "mode":
-                kwargs["choices"] = spec["modes"]
-                kwargs["type"] = str
-            sp.add_argument(flag, **kwargs)
-    return parser
+        sp = by_name[name] = subs.add_parser(name, help=f"{name} runner")
+        for dest, default in spec.items():
+            conv, help_text = _FLAGS[dest]
+            kwargs = {"dest": dest, "type": conv, "help": help_text}
+            if default is _REQUIRED:
+                kwargs["required"], default = True, None
+            elif isinstance(default, tuple):
+                kwargs["choices"], default = default, default[0]
+            if default is not None:
+                kwargs["help"] += " (default: %(default)s)"
+            sp.add_argument(_flag(dest), default=default, **kwargs)
+        sp.add_argument("--config", help="key = value file read as flags"
+                        " placed before the command line's")
+    return parser, by_name
 
 
-def _help_line(name: str, spec: dict) -> str:
-    req = ", ".join("--" + d.replace("_", "-").replace("in-path", "in")
-                    for d in spec["required"])
-    return f"{name} subcommand; required: {req} (or via --config)"
-
-
-def _read_config_file(path: str, known: set[str], error) -> dict:
-    values = {}
+def _config_tokens(path: str, known: set[str], error) -> list[str]:
+    """The `--key=value` tokens of a config file, in file order."""
     try:
         with open(path) as f:
             lines = f.readlines()
     except OSError as exc:
         error(f"cannot read config file: {exc}")
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,47 +178,11 @@ def _read_config_file(path: str, known: set[str], error) -> dict:
         if "=" not in line:
             error(f"{path}:{lineno}: expected `key = value`")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key == "in":
-            key = "in_path"
-        if key not in known or key == "config":
+        flag = "--" + key.strip().replace("_", "-")
+        if flag not in known:
             error(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        values[key] = val.strip()
-    return values
-
-
-def _merge(ns: argparse.Namespace, spec: dict, error) -> dict:
-    params = {}
-    known = set(spec["flags"])
-    file_values = {}
-    if getattr(ns, "config", None):
-        file_values = _read_config_file(ns.config, known, error)
-    for dest in spec["flags"]:
-        if dest == "config":
-            continue
-        value = getattr(ns, dest, None)
-        if value is None and dest in file_values:
-            conv, flag, _ = _flag_spec(dest)
-            try:
-                value = conv(file_values[dest]) if dest != "mode" \
-                    else file_values[dest]
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                error(f"config key {dest!r}: bad value {file_values[dest]!r}")
-        if value is None:
-            value = spec["defaults"].get(dest)
-        params[dest] = value
-    for dest in spec["required"]:
-        if params.get(dest) is None:
-            _, flag, _ = _flag_spec(dest)
-            error(f"missing required flag {flag}")
-    if "mode" in params:
-        mode = _MODE_NAMES.get(params["mode"], params["mode"])
-        if mode not in {_MODE_NAMES[m] for m in spec["modes"]}:
-            error(f"mode {params['mode']!r} not allowed for this subcommand")
-        params["mode"] = mode
-    if "threads" in params and params["threads"] is None:
-        params["threads"] = os.cpu_count() or 1
-    return params
+        tokens.append(f"{flag}={val.strip()}")
+    return tokens
 
 
 def _barrier(params: dict) -> BarrierConfig:
@@ -264,16 +195,23 @@ def parse(argv=None) -> RunConfig:
     """Parse an argv list into a RunConfig.
 
     Usage problems (unknown flags or keys, missing required flags, values
-    that do not convert to the flag's type) exit with code 2 via argparse.
-    No value is range-checked here: `main` turns the ValueError of the
-    library object that rejects it into exit code 2.
+    that do not convert to the flag's type, names outside a flag's choices)
+    exit with code 2 via argparse.  No value is range-checked here:
+    `main` turns the ValueError of the library object that rejects it into
+    exit code 2.
     """
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, subs = _build_parser()
+    pre = argparse.ArgumentParser(prog="refsde", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    # the subcommand comes first: the top-level parser takes no values
+    if config is not None and argv and argv[0] in subs:
+        known = {_flag(dest) for dest in _SPECS[argv[0]]}
+        argv[1:1] = _config_tokens(config, known, subs[argv[0]].error)
     ns = parser.parse_args(argv)
-    if ns.subcommand is None:
-        parser.error("a subcommand is required")
-    spec = _SPECS[ns.subcommand]
-    params = _merge(ns, spec, parser.error)
+    params = {dest: getattr(ns, dest) for dest in _SPECS[ns.subcommand]}
+    params["mode"] = _MODE_NAMES[params["mode"]]
     return RunConfig(subcommand=ns.subcommand, params=params,
                      out=params.get("out"), seed=params.get("seed"))
 
@@ -323,10 +261,6 @@ def _run_density(params: dict):
 
 
 def _run_estimate(params: dict):
-    if params["kernel"] != "epanechnikov":
-        raise ValueError(f"unknown kernel {params['kernel']!r}")
-    if params["type"] not in ("discrete", "continuous"):
-        raise ValueError(f"unknown estimator type {params['type']!r}")
     barrier = _barrier(params)
     lo = params["grid_min"] if params["grid_min"] is not None \
         else params["lower"]
@@ -407,13 +341,13 @@ def main(args=None) -> int:
             cfg = parse(args)
         except SystemExit as exc:  # argparse signals usage errors/help this way
             return int(exc.code or 0)
-    started = time.time()
+    started = time.perf_counter()
     try:
         cells, seed_str = _DISPATCH[cfg.subcommand](cfg.params)
     except Exception as exc:
         print(f"refsde {cfg.subcommand}: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
-    wall = time.time() - started
+    wall = time.perf_counter() - started
     print(f"refsde {cfg.subcommand}: cells={cells} wall={wall:.2f}s"
           f" seed={seed_str}", file=sys.stderr)
     return 0

@@ -330,7 +330,8 @@ def write_path_csv(path: SamplePath, out_path: str) -> None:
     """Write `t,x,l_reg,r_reg` rows at full double precision, preceded by a
     `# seed=` metadata comment."""
     write_csv(out_path, path.seed, "t,x,l_reg,r_reg",
-              zip(path.times, path.x, path.l_reg, path.r_reg))
+              zip(path.times.tolist(), path.x.tolist(), path.l_reg.tolist(),
+                  path.r_reg.tolist()))
 
 
 def read_path_csv(in_path: str, sigma: float, barrier: BarrierConfig,

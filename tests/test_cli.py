@@ -153,6 +153,91 @@ def test_config_maps_in_key(tmp_path):
     assert rc.params["h"] == 0.3
 
 
+@pytest.mark.parametrize("line, argv, message", [
+    pytest.param("lower = -1", _DENS, "error: lower barrier must be finite"
+                 " and >= 0", id="negative-value-reaches-library"),
+    pytest.param("reps = x", ["experiment", "--case", "1"],
+                 "argument --reps: invalid int value: 'x'", id="bad-int"),
+    pytest.param("mode = two_sided", ["experiment", "--case", "1"],
+                 "argument --mode: invalid choice: 'two_sided'",
+                 id="internal-mode-name"),
+    pytest.param("# header\nrepz = 5", ["experiment", "--case", "1"],
+                 "bad.cfg:2: unknown config key 'repz'", id="unknown-key"),
+])
+def test_config_values_are_checked_as_flags(line, argv, message, tmp_path,
+                                            capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--config", str(cfgfile), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, reps", [("normality", 500),
+                                              ("experiment", 1000)])
+def test_help_shows_each_subcommands_defaults(subcommand, reps, capsys):
+    assert main([subcommand, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--reps REPS Monte Carlo replications (default: {reps})" in text
+
+
+_THREADS = os.cpu_count() or 1
+
+
+# literal parse results, each a flag, a config line or a default; the command
+# line wins over the file
+@pytest.mark.parametrize("argv, cfg, params, out, seed", [
+    (["simulate", "--case", "1", "--n", "50", "--out", "p.csv"], None,
+     {"case": 1, "n": 50, "delta": None, "sigma": 0.2, "mode": "two_sided",
+      "lower": 0.0, "upper": 3.0, "x0": None, "burn_in": 0, "refine": 1,
+      "seed": 0, "out": "p.csv"}, "p.csv", 0),
+    (["density", "--case", "2", "--out", "d.csv"], None,
+     {"case": 2, "sigma": 0.2, "mode": "two_sided", "lower": 0.0,
+      "upper": 3.0, "grid": 300, "h": 0.1, "quad_panels": 1024, "seed": 0,
+      "out": "d.csv"}, "d.csv", 0),
+    (["estimate", "--in", "p.csv", "--out", "e.csv"], None,
+     {"in_path": "p.csv", "sigma": 0.2, "mode": "two_sided", "lower": 0.0,
+      "upper": 3.0, "h": 0.1, "kernel": "epanechnikov", "type": "discrete",
+      "grid_min": None, "grid_max": None, "grid_count": 300, "out": "e.csv"},
+     "e.csv", None),
+    (["experiment", "--case", "1", "--out", "t.csv"], None,
+     {"case": 1, "mode": "both", "sigma": 0.2, "n_list": (400, 900, 1600),
+      "beta_list": (0.3, 0.2, 0.15), "reps": 1000, "grid": 300,
+      "type": "discrete", "refine": 10, "lower": 0.0, "upper": 3.0,
+      "x0": None, "burn_in": 0, "seed": 0, "threads": _THREADS,
+      "out": "t.csv"}, "t.csv", 0),
+    (["normality", "--case", "2", "--x0", "1.5", "--n", "60", "--beta",
+      "0.3"], None,
+     {"case": 2, "x0": 1.5, "n": 60, "beta": 0.3, "reps": 500, "sigma": 0.2,
+      "mode": "two_sided", "type": "discrete", "refine": 10, "lower": 0.0,
+      "upper": 3.0, "burn_in": 0, "epsilon": 0.01, "quad_panels": 1024,
+      "seed": 0, "threads": _THREADS, "out": None}, None, 0),
+    (["experiment", "--case", "3", "--config", "{cfg}", "--reps", "2",
+      "--out", "t.csv"],
+     "# table setup\nn-list = 40,80\nmode = one-sided\nreps = 9\nseed = 3\n",
+     {"case": 3, "mode": "one_sided_lower", "sigma": 0.2, "n_list": (40, 80),
+      "beta_list": (0.3, 0.2, 0.15), "reps": 2, "grid": 300,
+      "type": "discrete", "refine": 10, "lower": 0.0, "upper": 3.0,
+      "x0": None, "burn_in": 0, "seed": 3, "threads": _THREADS,
+      "out": "t.csv"}, "t.csv", 3),
+    (["estimate", "--config", "{cfg}", "--h", "0.2", "--out", "e.csv"],
+     "in = p.csv\nmode = one-sided\ngrid-min = 0.5\nh = 0.3\n",
+     {"in_path": "p.csv", "sigma": 0.2, "mode": "one_sided_lower",
+      "lower": 0.0, "upper": 3.0, "h": 0.2, "kernel": "epanechnikov",
+      "type": "discrete", "grid_min": 0.5, "grid_max": None,
+      "grid_count": 300, "out": "e.csv"}, "e.csv", None),
+])
+def test_parse_values_are_pinned(argv, cfg, params, out, seed, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    if cfg is not None:
+        cfgfile.write_text(cfg)
+    rc = parse([a.format(cfg=cfgfile) for a in argv])
+    assert rc.params == params
+    assert rc.out == out
+    assert rc.seed == seed
+
+
 def test_simulate_writes_reproducible_csv(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--case", "2", "--n", "200", "--sigma", "0.2",
