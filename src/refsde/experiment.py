@@ -6,9 +6,9 @@ draws from its own counter-based RNG stream keyed by
 
     (base_seed, case, mode index, n, round(beta*1e6), r),   r = 1..N,
 
-so results are bit-identical no matter how replications are ordered or how
-many worker processes execute them.  Slot r=0 is reserved for single-path
-curves and never collides with a replication.
+so results are bit-identical no matter how replications are ordered,
+batched or split across worker processes.  Slot r=0 is reserved for
+single-path curves and never collides with a replication.
 """
 from __future__ import annotations
 
@@ -23,9 +23,10 @@ import numpy as np
 from .density import f_eval, invariant_density, sigma_eval
 from .estimate import (EstimateResult, bandwidth, delta_of_n, nw_continuous,
                        nw_discrete)
-from .model import (BarrierConfig, DriftSpec, Schedule, builtin_drift,
-                    epanechnikov, validate_schedule)
-from .simulate import SimConfig, simulate_fine, simulate_path, write_csv
+from .model import (BarrierConfig, DriftSpec, SamplePath, Schedule,
+                    builtin_drift, epanechnikov, validate_schedule)
+from .simulate import (SimConfig, fine_config, simulate_fine, simulate_path,
+                       simulate_paths, write_csv)
 
 __all__ = [
     "CellFailure",
@@ -208,57 +209,155 @@ def rase(est: EstimateResult, truth: DriftSpec) -> float:
     return math.sqrt(float(np.mean(err * err)))
 
 
-def _one_estimate(plan: ExperimentPlan, mode: str, n: int, beta: float,
-                  seed, grid) -> EstimateResult:
-    drift = builtin_drift(plan.case_id)
-    cfg = SimConfig(drift=drift, sigma=plan.sigma,
-                    barrier=plan.barrier_for(mode), n_steps=n,
-                    delta=delta_of_n(n), x0=plan.x0, seed=seed,
-                    burn_in=plan.burn_in)
+def _sim_config(plan: ExperimentPlan, mode: str, n: int, seed) -> SimConfig:
+    """The observation-grid config of one replication's path."""
+    return SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
+                     barrier=plan.barrier_for(mode), n_steps=n,
+                     delta=delta_of_n(n), x0=plan.x0, seed=seed,
+                     burn_in=plan.burn_in)
+
+
+def _simulate_one(plan: ExperimentPlan, cfg: SimConfig) -> SamplePath:
+    """The path the plan's estimator reads, through the scalar kernel."""
+    if plan.estimator_type == "continuous":
+        return simulate_fine(cfg, plan.refine)
+    return simulate_path(cfg)
+
+
+def _estimate(plan: ExperimentPlan, n: int, beta: float, path: SamplePath,
+              grid) -> EstimateResult:
     k = epanechnikov(bandwidth(n, beta))
     if plan.estimator_type == "continuous":
-        return nw_continuous(simulate_fine(cfg, plan.refine), k, grid)
-    return nw_discrete(simulate_path(cfg), k, grid)
+        return nw_continuous(path, k, grid)
+    return nw_discrete(path, k, grid)
 
 
-def _cell_worker(task):
+# A replication task is (plan, mode, n, beta, r) for a cell and
+# (plan, mode, n, beta, x0, r) for a point estimate.  These two hooks turn
+# one task and its simulated path into the replication's result.
+
+def _cell_estimate(task, path):
+    """(rase, excluded grid points) of one cell replication."""
     plan, mode, n, beta, r = task
     grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
-    seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
-    est = _one_estimate(plan, mode, n, beta, seed, grid)
+    est = _estimate(plan, n, beta, path, grid)
     return rase(est, builtin_drift(plan.case_id)), int(est.undefined_mask.sum())
 
 
-def _point_worker(task):
+def _point_estimate(task, path):
+    """The estimate at x0 of one normality replication (NaN if undefined)."""
     plan, mode, n, beta, x0, r = task
-    seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
-    est = _one_estimate(plan, mode, n, beta, seed, np.array([float(x0)]))
+    est = _estimate(plan, n, beta, path, np.array([float(x0)]))
     return float(est.values[0])
 
 
-def _run_task(worker, task):
+def _task_config(task) -> SimConfig:
+    plan, mode, n, beta, r = task[0], task[1], task[2], task[3], task[-1]
+    seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
+    return _sim_config(plan, mode, n, seed)
+
+
+# Path-steps in one batch of replications stepped together.  It bounds the
+# batch's draws and records, five floats per path-step (2.6 MB).
+_BATCH_STEPS = 2**16
+# The fewest paths that one vector step per time index (simulate_paths)
+# steps clearly faster than simulate_path steps them one by one: a vector
+# step costs 20-30 us whatever the width.  Measured on cases 1 and 2 at
+# n = 400 and 1600; the break-even widths were about 17 and 21.  One-sided
+# scalar steps skip the upper barrier, so they are cheaper.
+_MIN_BATCH = {"two_sided": 20, "one_sided_lower": 24}
+
+
+def _path_steps(task) -> int:
+    plan, n = task[0], task[2]
+    return (plan.burn_in + n) * (plan.refine
+                                 if plan.estimator_type == "continuous" else 1)
+
+
+def _batches(tasks) -> list[list[int]]:
+    """Indices of tasks, cut into the units of work of _map_replications.
+
+    Tasks whose paths share every SimConfig field but the seed (the same
+    plan, mode and n) form a group, taken in task order.  A group is cut
+    into the fewest equal batches that each hold at most _BATCH_STEPS
+    path-steps.  A batch below the mode's _MIN_BATCH is cut into single
+    replications, which step through the scalar kernel.
+    """
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault(task[:3], []).append(i)
+    batches = []
+    for (_, mode, _), members in groups.items():
+        per = max(1, _BATCH_STEPS // _path_steps(tasks[members[0]]))
+        count = -(-len(members) // per)
+        for b in range(count):
+            batch = members[b * len(members) // count:
+                            (b + 1) * len(members) // count]
+            if len(batch) >= _MIN_BATCH[mode]:
+                batches.append(batch)
+            else:
+                batches.extend([i] for i in batch)
+    return batches
+
+
+def _batch_worker(job):
+    """Simulate one batch of replications and estimate each on its path.
+
+    Returns one result per task, or the exception that task raised.  A
+    batch of one steps through the scalar kernel.
+    """
+    estimate, tasks = job
+    plan = tasks[0][0]
     try:
-        return worker(task)
+        cfgs = [_task_config(t) for t in tasks]
+        if len(cfgs) == 1:
+            paths = [_simulate_one(plan, cfgs[0])]
+        elif plan.estimator_type == "continuous":
+            paths = simulate_paths(fine_config(c, plan.refine) for c in cfgs)
+        else:
+            paths = simulate_paths(cfgs)
+    except Exception as exc:
+        paths = [exc] * len(tasks)
+    return [p if isinstance(p, Exception) else _run_task(estimate, t, p)
+            for t, p in zip(tasks, paths)]
+
+
+def _run_task(fn, *args):
+    try:
+        return fn(*args)
     except Exception as exc:
         return exc
 
 
-def _map_replications(worker, tasks, threads):
-    """Evaluate tasks in submission order, serially or in one worker pool.
+def _map_replications(estimate, tasks, threads):
+    """Results of the replication tasks, in task order, each computed by
+    estimate(task, path) on the task's simulated path.
 
-    Tasks hold only picklable primitives (plans, numbers, strings), and each
-    carries its own stream key, so the partition into workers cannot change
-    any result.  A task that raises does not stop the others: its slot holds
-    the exception in place of a result (see _checked).  One call builds at
-    most one pool, so a command sends all its replications through one call;
-    a worker process that dies raises BrokenProcessPool and ends the call.
+    The unit of work is a batch (see _batches): many same-config paths
+    stepped together, or one replication on the scalar kernel.  Batches go
+    largest first to the workers, serially or in one pool.  Tasks hold only
+    picklable primitives (plans, numbers, strings), and each carries its own
+    stream key, so neither the batching nor the partition into workers can
+    change any result.  A task that raises does not stop the others: its
+    slot holds the exception in place of a result (see _checked).  One call
+    builds at most one pool, so a command sends all its replications through
+    one call; a worker process that dies raises BrokenProcessPool and ends
+    the call.
     """
-    call = partial(_run_task, worker)
-    if threads is None or threads <= 1 or len(tasks) <= 1:
-        return list(map(call, tasks))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(call, tasks,
-                             chunksize=max(1, len(tasks) // (4 * threads))))
+    batches = sorted(_batches(tasks),
+                     key=lambda b: -len(b) * _path_steps(tasks[b[0]]))
+    jobs = [(estimate, [tasks[i] for i in b]) for b in batches]
+    if threads is None or threads <= 1 or len(jobs) <= 1:
+        done = list(map(_batch_worker, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(_batch_worker, jobs,
+                                 chunksize=max(1, len(jobs) // (4 * threads))))
+    results = [None] * len(tasks)
+    for batch, values in zip(batches, done):
+        for i, value in zip(batch, values):
+            results[i] = value
+    return results
 
 
 def _checked(results):
@@ -305,7 +404,7 @@ def run_cell(plan: ExperimentPlan, n: int, beta: float, *,
     bandwidth(n, beta)  # rejects a bad n or beta before any replication runs
     tasks = _cell_tasks(plan, cell_mode, n, beta)
     return _summary(plan, cell_mode, n, beta,
-                    _map_replications(_cell_worker, tasks, threads))
+                    _map_replications(_cell_estimate, tasks, threads))
 
 
 def run_table(plan: ExperimentPlan, *, threads: int | None = None):
@@ -323,7 +422,7 @@ def run_table(plan: ExperimentPlan, *, threads: int | None = None):
     cells = [(n, beta, m) for n in plan.n_list for beta in plan.beta_list
              for m in modes]
     tasks = [t for n, beta, m in cells for t in _cell_tasks(plan, m, n, beta)]
-    results = _map_replications(_cell_worker, tasks, threads)
+    results = _map_replications(_cell_estimate, tasks, threads)
     reps = plan.n_replications
     summaries: list[McSummary] = []
     failures: list[CellFailure] = []
@@ -350,7 +449,8 @@ def curve(plan: ExperimentPlan, n: int, beta: float, seed: int):
         raise ValueError(f"curve needs a concrete barrier mode, got {cell_mode!r}")
     grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
     key = replication_seed(seed, plan.case_id, cell_mode, n, beta, 0)
-    est = _one_estimate(plan, cell_mode, int(n), float(beta), key, grid)
+    path = _simulate_one(plan, _sim_config(plan, cell_mode, int(n), key))
+    est = _estimate(plan, int(n), float(beta), path, grid)
     truth = builtin_drift(plan.case_id)(grid)
     return [(float(x), None if bad else float(v), float(t))
             for x, v, t, bad in zip(grid, est.values, truth, est.undefined_mask)]
@@ -397,7 +497,7 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     tasks = [(plan, mode, int(n), float(beta), float(x0), r)
              for r in range(1, n_replications + 1)]
     estimates = np.array(_checked(
-        _map_replications(_point_worker, tasks, threads)))
+        _map_replications(_point_estimate, tasks, threads)))
     kept = estimates[np.isfinite(estimates)]
     dropped = int(estimates.size - kept.size)
     if kept.size == 0:

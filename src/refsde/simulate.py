@@ -12,12 +12,19 @@ the upper one is dR = max(0, B + (state - u)) with B the supremum of the
 positive displacement.  This yields the regulator increments the estimators
 consume, at the usual Euler-Maruyama convergence rate.
 
-One kernel, `_steps`, takes every step, for `step` and `simulate_path`
-alike.  The noise is drawn and transformed as arrays first (the scaled
-normal sigma * sqrt(delta) * Z, then U = 1 - Uniform[0, 1)), and the kernel
-turns it into Python floats one block at a time, together with the
-radicand term 2 sigma^2 delta ln U; a step is then the drift call plus
-inline float arithmetic, with the bridge maxima written out.
+The scalar kernel, `_steps`, takes every step of `step` and `simulate_path`.
+The noise is drawn and transformed as arrays first (the scaled normal
+sigma * sqrt(delta) * Z, then U = 1 - Uniform[0, 1)), and the kernel turns
+it into Python floats one block at a time, together with the radicand term
+2 sigma^2 delta ln U; a step is then the drift call plus inline float
+arithmetic, with the bridge maxima written out.
+
+The vector kernel, `_vector_steps`, steps many paths that differ only in
+their seed, for `simulate_paths`: one drift call and one pass of array
+arithmetic per time index across all the paths, the same float operations
+as `_steps` in the same order, so each path is bitwise its scalar path.  A
+vector step costs tens of microseconds whatever the number of paths, so it
+pays only beyond about twenty paths; single paths stay on `_steps`.
 """
 from __future__ import annotations
 
@@ -33,9 +40,11 @@ from .model import BarrierConfig, DriftSpec, SamplePath
 __all__ = [
     "SimConfig",
     "SimulationDivergedError",
+    "fine_config",
     "sample_sup_with_drift",
     "simulate_fine",
     "simulate_path",
+    "simulate_paths",
     "step",
     "stream_rng",
     "write_csv",
@@ -279,6 +288,156 @@ def simulate_path(cfg: SimConfig) -> SamplePath:
                       l_reg=l_reg, r_reg=r_reg, seed=cfg.seed, barrier=cfg.barrier)
 
 
+def simulate_paths(cfgs) -> list:
+    """Simulate paths that share every SimConfig field but the seed, all at
+    once: one vector step per time index across the paths.
+
+    Returns one entry per config, in order: the SamplePath that
+    simulate_path(cfg) returns, bit for bit, or the SimulationDivergedError
+    (same message and step_index) that it would raise.  A failing path does
+    not stop the others.  Each path draws from its own stream exactly as
+    simulate_path does.  A vector step has a fixed cost of tens of
+    microseconds, so this pays only for many paths per call; a single path
+    belongs to simulate_path.  Draws and records take five floats per
+    path-step (four one-sided); the draws are freed before the paths are
+    built.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("batched configs may differ only in seed")
+    total, width = cfg.burn_in + cfg.n_steps, len(cfgs)
+    two_sided = cfg.barrier.mode == "two_sided"
+    # time-major, so that one time index is one contiguous block: s[k] holds
+    # the scaled normals of step k, q[k] its radicand terms (two-sided: the
+    # lower row, then the upper row)
+    s = np.empty((total, width))
+    q = np.empty((total, 2, width) if two_sided else (total, width))
+    for j, c in enumerate(cfgs):
+        s[:, j], u_lo, u_hi = _draws(cfg, stream_rng(c.seed), total)
+        if two_sided:
+            q[:, 0, j] = _log_terms(u_lo)
+            q[:, 1, j] = _log_terms(u_hi)
+        else:
+            q[:, j] = _log_terms(u_lo)
+    q *= 2.0 * cfg.sigma * cfg.sigma * cfg.delta  # 2 sigma^2 delta ln U
+    # row k: the states after k steps and the signed regulator increment
+    # dR - dL of the k-th step (at most one of the two is nonzero)
+    x = np.empty((total + 1, width))
+    g = np.empty((total + 1, width))
+    x[0] = cfg.start
+    errors = _vector_steps(cfg, s, q, x, g)
+    del s, q  # free the draws before building the paths
+    times = np.arange(cfg.n_steps + 1) * cfg.delta
+    paths = []
+    for j, c in enumerate(cfgs):
+        if j in errors:
+            paths.append(errors[j])
+            continue
+        inc = g[cfg.burn_in:, j]
+        l_reg = np.maximum(-inc, 0.0)
+        r_reg = np.maximum(inc, 0.0)
+        l_reg[0] = r_reg[0] = 0.0
+        np.cumsum(l_reg, out=l_reg)
+        np.cumsum(r_reg, out=r_reg)
+        paths.append(SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times,
+                                x=x[cfg.burn_in:, j].copy(), l_reg=l_reg,
+                                r_reg=r_reg, seed=c.seed, barrier=cfg.barrier))
+    return paths
+
+
+def _log_terms(u) -> np.ndarray:
+    # math.log per draw: np.log differs from it in the last bit on some inputs
+    return np.fromiter(map(math.log, u.tolist()), float, len(u))
+
+
+def _vector_steps(cfg: SimConfig, s, q, x, g) -> dict:
+    """The reflected Euler kernel of `_steps`, one vector step per time index
+    across the R columns of the draws and records.
+
+    s is (steps, R); q is (steps, 2, R) two-sided, its rows the lower and
+    upper radicand terms 2 sigma^2 delta ln U, and (steps, R) one-sided.
+    Starting from the states in x[0], fills rows 1.. of x with the states and
+    of g with the signed increments dR - dL.  Every value is the scalar
+    kernel's, computed by the same float operations, so each column is
+    bitwise the scalar path.  Returns {column: SimulationDivergedError} for
+    the paths that failed, with the scalar kernel's message and step index.
+    A failed column is parked at the lower barrier and stepped on, and its
+    records mean nothing.
+    """
+    drift_fn = cfg.drift.fn
+    delta = cfg.delta
+    lower = cfg.barrier.lower
+    two_sided = q.ndim == 3
+    # one-sided: the largest float, so +inf still fails the domain check
+    hi = cfg.barrier.upper if two_sided else sys.float_info.max
+    rows = 2 if two_sided else 1
+    width = x.shape[1]
+    # dd = (-d, d); m the bridge maxima, then the (dL, dR) candidates; gap =
+    # (state - lower, hi - state), whose negative sign flags a state outside
+    # the domain and whose rows dL and dR subtract (upper - state is exactly
+    # the negative of the scalar kernel's state - upper).
+    dd = np.empty((2, width))
+    neg_d, d = dd
+    m = np.empty((rows, width))
+    gap = np.empty((2, width))
+    low = np.empty(width, dtype=bool)
+    errors: dict = {}
+    with np.errstate(all="ignore"):
+        _gaps(x[0], lower, hi, gap)
+        for k in range(s.shape[0]):
+            state, y, inc = x[k], x[k + 1], g[k + 1]
+            np.multiply(drift_fn(state), delta, out=d)
+            d += s[k]
+            np.add(state, d, out=y)
+            if two_sided:
+                np.negative(d, out=neg_d)
+                np.multiply(dd, dd, out=m)
+                m -= q[k]
+                np.sqrt(m, out=m)
+                m += dd
+            else:
+                np.multiply(d, d, out=m[0])
+                m[0] -= q[k]
+                np.sqrt(m[0], out=m[0])
+                m[0] -= d
+            m *= 0.5
+            m -= gap[:rows]
+            # dL where the lower barrier fired; else dR where the upper did
+            np.greater(m[0], 0.0, out=low)
+            np.maximum(m, 0.0, out=m)
+            if two_sided:
+                np.copyto(m[1], 0.0, where=low)
+                np.subtract(m[1], m[0], out=inc)
+            else:
+                np.subtract(0.0, m[0], out=inc)
+            # y + dL, y - dR, or y itself (y - +0.0 keeps a -0.0)
+            y -= inc
+            _gaps(y, lower, hi, gap)
+            if not gap.min() >= 0.0:
+                _vector_settle(y, lower, hi, k, errors)
+                _gaps(y, lower, hi, gap)
+    return errors
+
+
+def _gaps(y, lower, hi, gap) -> None:
+    np.subtract(y, lower, out=gap[0])
+    np.subtract(hi, y, out=gap[1])
+
+
+def _vector_settle(y, lower, hi, k, errors) -> None:
+    """`_settle` in place each entry of y outside [lower, hi]; file a first
+    failure of a column under its index, and park failed columns at lower."""
+    for j in np.flatnonzero(~((lower <= y) & (y <= hi))).tolist():
+        try:
+            y[j] = _settle(float(y[j]), lower, hi)
+        except SimulationDivergedError as e:
+            errors.setdefault(j, SimulationDivergedError(str(e), step_index=k))
+            y[j] = lower
+
+
 def simulate_fine(cfg: SimConfig, refine: int) -> SamplePath:
     """Simulate on the refined grid with step delta/refine.
 
@@ -286,14 +445,19 @@ def simulate_fine(cfg: SimConfig, refine: int) -> SamplePath:
     burn-in time), serving as the continuously-observed process for the
     continuous-type estimator.  refine=1 is exactly simulate_path.
     """
+    return simulate_path(fine_config(cfg, refine))
+
+
+def fine_config(cfg: SimConfig, refine: int) -> SimConfig:
+    """The config of `simulate_fine`'s path: step delta/refine over the same
+    model time, burn-in included."""
     if refine < 1 or int(refine) != refine:
         raise ValueError("refine must be a positive integer")
     refine = int(refine)
     if refine == 1:
-        return simulate_path(cfg)
-    fine = replace(cfg, n_steps=cfg.n_steps * refine, delta=cfg.delta / refine,
+        return cfg
+    return replace(cfg, n_steps=cfg.n_steps * refine, delta=cfg.delta / refine,
                    burn_in=cfg.burn_in * refine)
-    return simulate_path(fine)
 
 
 # --- CSV import/export -------------------------------------------------------
@@ -317,21 +481,34 @@ def write_csv(out_path, seed, header: str, rows) -> None:
 
     out_path is a file path or an open text stream.  Floats are written at
     full double precision (%.17g), None as an empty field, anything else
-    with str().
+    with str().  A row of Python floats only, one per header column, is
+    formatted by one %-format call (a long path's rows are), and gives the
+    same bytes.
     """
+    width = header.count(",") + 1
+    floats = (float,) * width
+    float_row = (",".join(["%.17g"] * width) + "\n").__mod__
     with (nullcontext(out_path) if hasattr(out_path, "write")
           else open(out_path, "w", newline="")) as f:
         f.write(f"# seed={format_seed(seed)}\n{header}\n")
         for row in rows:
-            f.write(",".join(_cell(v) for v in row) + "\n")
+            if tuple(map(type, row)) == floats:
+                f.write(float_row(tuple(row)))
+            else:
+                f.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def write_path_csv(path: SamplePath, out_path: str) -> None:
     """Write `t,x,l_reg,r_reg` rows at full double precision, preceded by a
-    `# seed=` metadata comment."""
+    `# seed=` metadata comment.
+
+    The columns become Python floats (the writer's fast rows) one block of
+    _BLOCK rows at a time, so the writer holds no copy of the whole path.
+    """
+    cols = (path.times, path.x, path.l_reg, path.r_reg)
     write_csv(out_path, path.seed, "t,x,l_reg,r_reg",
-              zip(path.times.tolist(), path.x.tolist(), path.l_reg.tolist(),
-                  path.r_reg.tolist()))
+              (row for a in range(0, path.x.size, _BLOCK)
+               for row in zip(*(c[a:a + _BLOCK].tolist() for c in cols))))
 
 
 def read_path_csv(in_path: str, sigma: float, barrier: BarrierConfig,

@@ -315,18 +315,18 @@ def test_runtime_error_exits_one_without_partial_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-_REAL_CELL_WORKER = experiment._cell_worker
+_REAL_CELL_ESTIMATE = experiment._cell_estimate
 
 
-def _cell_worker_dying_once(task):
+def _cell_estimate_dying_once(task, path):
     # module level, so that pool processes can unpickle it
     if task[2] == 60 and task[-1] == 2:
         os._exit(1)
-    return _REAL_CELL_WORKER(task)
+    return _REAL_CELL_ESTIMATE(task, path)
 
 
 def test_dead_worker_process_fails_the_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(experiment, "_cell_worker", _cell_worker_dying_once)
+    monkeypatch.setattr(experiment, "_cell_estimate", _cell_estimate_dying_once)
     out = tmp_path / "table.csv"
     assert main(["experiment", "--case", "2", "--mode", "two-sided",
                  "--n-list", "40,60", "--beta-list", "0.3", "--reps", "3",

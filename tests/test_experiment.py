@@ -148,8 +148,10 @@ def test_cell_summary_invariant_under_replication_order():
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=5, grid_count=20, base_seed=8)
     s = run_cell(plan, 60, 0.3)
-    per = [experiment._cell_worker((plan, "two_sided", 60, 0.3, r))[0]
-           for r in range(5, 0, -1)]  # recompute in reverse order
+    tasks = [(plan, "two_sided", 60, 0.3, r) for r in range(5, 0, -1)]
+    per = [experiment._cell_estimate(
+        t, simulate_path(experiment._task_config(t)))[0]
+        for t in tasks]  # recompute in reverse order
     assert s.rase_mean == pytest.approx(float(np.mean(per)), rel=1e-12)
     assert s.rase_median == pytest.approx(float(np.median(per)), rel=1e-12)
     assert s.rase_std == pytest.approx(float(np.std(per, ddof=1)), rel=1e-12)
@@ -173,7 +175,7 @@ def test_run_cell_needs_concrete_mode():
 
 @pytest.mark.parametrize("n, beta", [(1, 0.3), (40, 1.5)])
 def test_run_cell_rejects_bad_schedule_before_work(monkeypatch, n, beta):
-    monkeypatch.setattr(experiment, "_cell_worker", None)  # must not run
+    monkeypatch.setattr(experiment, "_cell_estimate", None)  # must not run
     plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
                           n_replications=2, grid_count=10)
     with pytest.raises(ValueError):
@@ -223,14 +225,14 @@ def test_run_table_default_layout_is_eighteen_cells():
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, StopIteration])
 def test_replication_failure_reports_index(monkeypatch, exc_type):
-    real = experiment._cell_worker
+    real = experiment._cell_estimate
 
-    def boom(task):
+    def boom(task, path):
         if task[-1] == 2:
             raise exc_type("synthetic failure")
-        return real(task)
+        return real(task, path)
 
-    monkeypatch.setattr(experiment, "_cell_worker", boom)
+    monkeypatch.setattr(experiment, "_cell_estimate", boom)
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=3, grid_count=10, base_seed=2)
     with pytest.raises(ReplicationError,
@@ -249,21 +251,65 @@ def test_replication_failure_reports_index(monkeypatch, exc_type):
 _FOUR_CELLS = ExperimentPlan(case_id=2, barrier_mode="both", n_list=(40, 60),
                              beta_list=(0.3,), n_replications=3,
                              grid_count=10, base_seed=2)
-_REAL_CELL_WORKER = experiment._cell_worker
-_REAL_POINT_WORKER = experiment._point_worker
+_REAL_CELL_ESTIMATE = experiment._cell_estimate
+_REAL_POINT_ESTIMATE = experiment._point_estimate
 
 
-# Module-level workers, so that pool processes can unpickle them.
-def _cell_worker_failing_once(task):
+# Module-level hooks, so that pool processes can unpickle them.
+def _cell_estimate_failing_once(task, path):
     if task[1:3] == ("two_sided", 60) and task[-1] == 2:
         raise RuntimeError("synthetic failure")
-    return _REAL_CELL_WORKER(task)
+    return _REAL_CELL_ESTIMATE(task, path)
 
 
-def _point_worker_failing_once(task):
+def _point_estimate_failing_once(task, path):
     if task[-1] == 2:
         raise RuntimeError("synthetic failure")
-    return _REAL_POINT_WORKER(task)
+    return _REAL_POINT_ESTIMATE(task, path)
+
+
+def _table_tasks(plan):
+    return [t for n in plan.n_list for beta in plan.beta_list
+            for m in ("two_sided", "one_sided_lower")
+            for t in experiment._cell_tasks(plan, m, n, beta)]
+
+
+def test_batches_cut_each_group_equally_under_the_budget():
+    plan = ExperimentPlan(case_id=1, n_list=(400, 1600, 30_000),
+                          n_replications=20)
+    tasks = _table_tasks(plan)
+    batches = experiment._batches(tasks)
+    assert sorted(i for b in batches for i in b) == list(range(len(tasks)))
+    sizes = {}
+    for b in batches:
+        assert len({tasks[i][1:3] for i in b}) == 1  # one (mode, n) group
+        assert b == sorted(b)
+        sizes.setdefault(tasks[b[0]][1:3], []).append(len(b))
+    # 60 paths of 400 steps fit in one batch; 60 of 1600 take two of 30
+    assert sizes[("two_sided", 400)] == [60]
+    assert sizes[("one_sided_lower", 1600)] == [30, 30]
+    # two paths of 30 000 steps would pass the budget: single replications
+    assert sizes[("two_sided", 30_000)] == [1] * 60
+    # a group below the crossover is stepped path by path
+    few = ExperimentPlan(case_id=1, n_list=(400,), beta_list=(0.3,),
+                         n_replications=experiment._MIN_BATCH["two_sided"] - 1)
+    assert all(len(b) == 1 for b in experiment._batches(_table_tasks(few)))
+
+
+@pytest.mark.parametrize("estimator_type", ["discrete", "continuous"])
+def test_batched_replications_equal_replications_alone(estimator_type):
+    plan = ExperimentPlan(case_id=1, n_list=(60,), beta_list=(0.3, 0.2),
+                          n_replications=13, grid_count=30, base_seed=4,
+                          estimator_type=estimator_type, refine=3)
+    tasks = _table_tasks(plan)
+    assert max(map(len, experiment._batches(tasks))) == 26  # two betas
+    alone = [experiment._cell_estimate(
+        t, experiment._simulate_one(plan, experiment._task_config(t)))
+        for t in tasks]
+    assert experiment._map_replications(experiment._cell_estimate, tasks,
+                                        None) == alone
+    assert experiment._map_replications(experiment._cell_estimate, tasks,
+                                        2) == alone
 
 
 def test_run_table_builds_one_pool(monkeypatch):
@@ -284,7 +330,8 @@ def test_run_table_builds_one_pool(monkeypatch):
 
 def test_pooled_failure_is_filed_like_serial(monkeypatch):
     clean, _ = run_table(_FOUR_CELLS)
-    monkeypatch.setattr(experiment, "_cell_worker", _cell_worker_failing_once)
+    monkeypatch.setattr(experiment, "_cell_estimate",
+                        _cell_estimate_failing_once)
     serial = run_table(_FOUR_CELLS)
     summaries, failures = run_table(_FOUR_CELLS, threads=2)
     assert (summaries, failures) == serial
@@ -297,8 +344,8 @@ def test_pooled_failure_is_filed_like_serial(monkeypatch):
 
 @pytest.mark.parametrize("threads", [None, 2])
 def test_normality_failure_reports_index(monkeypatch, threads):
-    monkeypatch.setattr(experiment, "_point_worker",
-                        _point_worker_failing_once)
+    monkeypatch.setattr(experiment, "_point_estimate",
+                        _point_estimate_failing_once)
     with pytest.raises(ReplicationError,
                        match="^replication 2: RuntimeError: synthetic failure$"):
         normality_check(2, 1.5, 400, 0.3, 4, 0, threads=threads)
@@ -344,14 +391,14 @@ def test_normality_check_validates_location_and_schedule():
 
 
 def test_normality_report_fields_and_dropped_counter(monkeypatch):
-    real = experiment._point_worker
+    real = experiment._point_estimate
 
-    def patchy(task):
+    def patchy(task, path):
         if task[-1] in (2, 5):
             return float("nan")
-        return real(task)
+        return real(task, path)
 
-    monkeypatch.setattr(experiment, "_point_worker", patchy)
+    monkeypatch.setattr(experiment, "_point_estimate", patchy)
     rep = normality_check(2, 1.5, 400, 0.3, 6, 123)
     assert isinstance(rep, NormalityReport)
     assert rep.dropped == 2
@@ -363,8 +410,8 @@ def test_normality_report_fields_and_dropped_counter(monkeypatch):
 
 
 def test_normality_all_dropped_raises(monkeypatch):
-    monkeypatch.setattr(experiment, "_point_worker",
-                        lambda task: float("nan"))
+    monkeypatch.setattr(experiment, "_point_estimate",
+                        lambda task, path: float("nan"))
     with pytest.raises(NoDataError):
         normality_check(2, 1.5, 400, 0.3, 3, 0)
 

@@ -46,6 +46,21 @@ def test_builtin_drift_accepts_arrays():
         assert np.asarray(out).shape == xs.shape
 
 
+@pytest.mark.parametrize("size", [1, 7, 1000])
+@pytest.mark.parametrize("top", [3.0, 1e-3, 4e7])
+@pytest.mark.parametrize("cid", [1, 2, 3])
+def test_builtin_drift_array_call_is_bitwise_the_scalar_call(cid, top, size):
+    # simulate_paths evaluates the drift once per step on all paths' states,
+    # simulate_path on one Python float at a time; both must give each path
+    # the same bits.  [0, 4e7] reaches where one-sided case 1 paths run off.
+    fn = builtin_drift(cid).fn
+    xs = np.random.default_rng([cid, size]).uniform(0.0, top, size)
+    xs[0] = 0.0
+    batch = np.asarray(fn(xs), dtype=float)
+    one_by_one = np.array([float(fn(x)) for x in xs.tolist()])
+    assert np.array_equal(batch.view(np.int64), one_by_one.view(np.int64))
+
+
 def test_drift_bounded_on_domain():
     # every benchmark drift stays within |b| <= 6 on [0, 3]
     xs = np.linspace(0.0, 3.0, 3001)

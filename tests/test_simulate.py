@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from refsde import (
     sample_sup_with_drift,
     simulate_fine,
     simulate_path,
+    simulate_paths,
     step,
     stream_rng,
     write_path_csv,
@@ -440,6 +442,124 @@ def test_simulate_path_working_set_is_linear():
     assert peak < 16 * n * 8, f"peak {peak / (n * 8):.1f} floats per step"
 
 
+# --- the vector kernel: many same-config paths per step ---------------------
+
+def _assert_batch_matches_oracle(cfgs):
+    for cfg, p in zip(cfgs, simulate_paths(cfgs), strict=True):
+        x, l_reg, r_reg = _oracle_path(cfg)
+        assert np.array_equal(p.x, x)
+        assert np.array_equal(p.l_reg, l_reg)
+        assert np.array_equal(p.r_reg, r_reg)
+        assert p.seed == cfg.seed
+
+
+_BATCH_SEEDS = (0, 7, (4, 2), 11, (3, 1, 4))
+
+
+@pytest.mark.parametrize("burn_in", [0, 37])
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_simulate_paths_is_bitwise_the_oracle(case, mode, burn_in):
+    base = SimConfig(drift=builtin_drift(case), sigma=0.2,
+                     barrier=_BARRIERS[mode], n_steps=400, delta=0.01,
+                     burn_in=burn_in)
+    _assert_batch_matches_oracle([replace(base, seed=s) for s in _BATCH_SEEDS])
+
+
+@pytest.mark.parametrize("drift, mode", [(-5.0, "one_sided"), (-5.0, "two_sided"),
+                                         (5.0, "two_sided")])
+def test_pinned_batch_is_bitwise_the_oracle(drift, mode):
+    # reflection on nearly every step, as in test_pinned_path_is_bitwise_the_oracle
+    base = SimConfig(drift=_const_drift(drift), sigma=0.2,
+                     barrier=_BARRIERS[mode], n_steps=20_000, delta=0.01)
+    _assert_batch_matches_oracle([replace(base, seed=s) for s in (3, 4, 5)])
+
+
+def _assert_batch_matches_alone(cfgs):
+    """Each member of the batch is simulate_path's path, or its error;
+    returns the failed members' errors."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = simulate_paths(cfgs)
+    errors = []
+    for cfg, got in zip(cfgs, batch, strict=True):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                alone = simulate_path(cfg)
+            except SimulationDivergedError as e:
+                assert isinstance(got, SimulationDivergedError)
+                assert str(got) == str(e)
+                assert got.step_index == e.step_index
+                errors.append(e)
+                continue
+        assert isinstance(got, SamplePath)
+        assert np.array_equal(got.x, alone.x)
+        assert np.array_equal(got.l_reg, alone.l_reg)
+        assert np.array_equal(got.r_reg, alone.r_reg)
+    return errors
+
+
+def _explodes_above(level):
+    # zero drift below the level; above it a drift that overflows the state
+    # to +inf one step later
+    return DriftSpec("exploder", lambda x: np.where(
+        np.asarray(x, dtype=float) > level, 1e300 * np.asarray(x, dtype=float),
+        0.0))
+
+
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+def test_failing_batch_members_fail_as_alone(mode):
+    base = SimConfig(drift=_explodes_above(1.2), sigma=0.2,
+                     barrier=_BARRIERS[mode], n_steps=300, delta=0.01, x0=1.0)
+    errors = _assert_batch_matches_alone([replace(base, seed=s)
+                                          for s in range(12)])
+    # members fail at different steps, and the others step on past them
+    assert len({e.step_index for e in errors}) >= 3
+    assert len(errors) <= 9
+
+
+def test_narrow_domain_batch_matches_paths_alone():
+    # noise wider than the domain, so that both bridge maxima sometimes
+    # cross their barriers in one step (the lower one goes first) and some
+    # paths leave the domain beyond the clamp guard
+    base = SimConfig(drift=builtin_drift(1), sigma=1.0,
+                     barrier=BarrierConfig.two_sided(0.0, 0.32),
+                     n_steps=2000, delta=0.01)
+    errors = _assert_batch_matches_alone([replace(base, seed=s)
+                                          for s in range(8)])
+    assert 1 <= len(errors) <= 7
+    assert all("shot the" in str(e) for e in errors)
+
+
+def test_simulate_paths_rejects_mixed_configs():
+    base = _cfg()
+    assert simulate_paths([]) == []
+    with pytest.raises(ValueError, match="only in seed"):
+        simulate_paths([base, replace(base, seed=1, n_steps=base.n_steps + 1)])
+
+
+def test_batch_at_the_budget_peaks_within_its_arrays():
+    # simulate_paths holds each step's draws (s and two radicand rows) and
+    # records (state and signed increment): 5 floats per path-step.  It
+    # frees the draws before building the paths (3 floats per path-step),
+    # so the peak stays below 6; keeping the draws would reach 8.
+    import refsde.experiment as experiment
+    n = 1600
+    width = experiment._BATCH_STEPS // n
+    base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
+                     n_steps=n, delta=0.01)
+    cfgs = [replace(base, seed=(2, r)) for r in range(width)]
+    simulate_paths(cfgs[:2])  # leave first-call imports out of the count
+    tracemalloc.start()
+    try:
+        paths = simulate_paths(cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == width
+    per = peak / (width * n * 8)
+    assert per < 6.0, f"peak {per:.2f} floats per path-step"
+
+
 def _reflection_gap_violations(p, thresh):
     # regulator increments should only fire with the state near the barrier
     dl = np.diff(p.l_reg)
@@ -554,3 +674,39 @@ def test_read_path_csv_working_set_is_linear(tmp_path):
     np.testing.assert_array_equal(q.x, p.x)
     columns = 4 * n * 8
     assert peak < 3 * columns, f"peak {peak / columns:.1f} x the columns"
+
+
+def test_write_path_csv_holds_no_copy_of_the_path(tmp_path, monkeypatch):
+    # the rows become Python floats one block at a time; the four columns
+    # as Python float lists at once would take about 4 times the columns.
+    # A small block keeps the traced run short.
+    monkeypatch.setattr(sim_module, "_BLOCK", 2**10)
+    n = 2**15
+    p = SamplePath(delta=0.01, sigma=0.2, times=np.arange(n) * 0.01,
+                   x=np.random.default_rng(4).uniform(0.0, 3.0, n),
+                   l_reg=np.zeros(n), r_reg=np.zeros(n), seed=0,
+                   barrier=TWO_SIDED)
+    tracemalloc.start()
+    try:
+        write_path_csv(p, str(tmp_path / "long.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 4 * n * 8
+    assert peak < 0.5 * columns, f"peak {peak / columns:.2f} x the columns"
+
+
+def test_write_csv_float_rows_match_the_per_value_format():
+    # rows of Python floats take one %-format call; every other row is
+    # formatted value by value, and both must write the same bytes
+    import io
+    vals = [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, math.inf,
+            -math.inf, math.nan, 3.0, 2.0 / 3.0]
+    rows = [tuple(vals[i:i + 2]) for i in range(0, len(vals), 2)]
+    fast, slow = io.StringIO(), io.StringIO()
+    sim_module.write_csv(fast, 0, "a,b", rows)
+    sim_module.write_csv(slow, 0, "a,b", [(np.float64(a), b) for a, b in rows])
+    assert fast.getvalue() == slow.getvalue()
+    assert fast.getvalue().splitlines()[2:] == [
+        "0.10000000000000001,-0", "1e-300,4.9406564584124654e-324",
+        "1.7976931348623157e+308,inf", "-inf,nan", "3,0.66666666666666663"]
