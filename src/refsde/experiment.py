@@ -258,14 +258,16 @@ def _task_config(task) -> SimConfig:
 
 
 # Path-steps in one batch of replications stepped together.  It bounds the
-# batch's draws and records, five floats per path-step (2.6 MB).
-_BATCH_STEPS = 2**16
+# batch's draws and records, at most three floats per path-step (3.1 MB),
+# and lets the 60 replications of one (mode, n = 1600) group, three betas
+# at 20 each, step as one batch.
+_BATCH_STEPS = 2**17
 # The fewest paths that one vector step per time index (simulate_paths)
 # steps clearly faster than simulate_path steps them one by one: a vector
-# step costs 20-30 us whatever the width.  Measured on cases 1 and 2 at
-# n = 400 and 1600; the break-even widths were about 17 and 21.  One-sided
-# scalar steps skip the upper barrier, so they are cheaper.
-_MIN_BATCH = {"two_sided": 20, "one_sided_lower": 24}
+# step costs about 20 us whatever the width.  Measured on cases 1 and 2 at
+# n = 400 and 1600, both barrier modes: the break-even widths were 14-18
+# (medians of five runs each), rounded up here.
+_MIN_BATCH = 20
 
 
 def _path_steps(task) -> int:
@@ -280,20 +282,20 @@ def _batches(tasks) -> list[list[int]]:
     Tasks whose paths share every SimConfig field but the seed (the same
     plan, mode and n) form a group, taken in task order.  A group is cut
     into the fewest equal batches that each hold at most _BATCH_STEPS
-    path-steps.  A batch below the mode's _MIN_BATCH is cut into single
-    replications, which step through the scalar kernel.
+    path-steps.  A batch below _MIN_BATCH is cut into single replications,
+    which step through the scalar kernel.
     """
     groups: dict = {}
     for i, task in enumerate(tasks):
         groups.setdefault(task[:3], []).append(i)
     batches = []
-    for (_, mode, _), members in groups.items():
+    for members in groups.values():
         per = max(1, _BATCH_STEPS // _path_steps(tasks[members[0]]))
         count = -(-len(members) // per)
         for b in range(count):
             batch = members[b * len(members) // count:
                             (b + 1) * len(members) // count]
-            if len(batch) >= _MIN_BATCH[mode]:
+            if len(batch) >= _MIN_BATCH:
                 batches.append(batch)
             else:
                 batches.extend([i] for i in batch)
@@ -379,9 +381,18 @@ def _summary(plan: ExperimentPlan, mode: str, n: int, beta: float,
     return McSummary(case_id=plan.case_id, mode=mode, n=int(n),
                      beta=float(beta), h=bandwidth(n, beta),
                      delta=delta_of_n(n), rase_mean=float(rases.mean()),
-                     rase_std=std, rase_median=float(np.median(rases)),
+                     rase_std=std, rase_median=_median(rases.tolist()),
                      excluded_points_mean=float(excluded.mean()),
                      n_replications=plan.n_replications)
+
+
+def _median(values) -> float:
+    """np.median of a nonempty list of floats, bit for bit: the middle
+    value, or (a + b) / 2.0 of the two middle ones.  np.median's first call
+    imports numpy.ma, which costs more than the sort."""
+    v = sorted(values)
+    mid = len(v) // 2
+    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2.0
 
 
 def _cell_tasks(plan: ExperimentPlan, mode: str, n: int, beta: float):

@@ -22,9 +22,11 @@ arithmetic, with the bridge maxima written out.
 The vector kernel, `_vector_steps`, steps many paths that differ only in
 their seed, for `simulate_paths`: one drift call and one pass of array
 arithmetic per time index across all the paths, the same float operations
-as `_steps` in the same order, so each path is bitwise its scalar path.  A
-vector step costs tens of microseconds whatever the number of paths, so it
-pays only beyond about twenty paths; single paths stay on `_steps`.
+as `_steps` in the same order, so each path is bitwise its scalar path.
+Each step reads its draws from the record slots that it then overwrites,
+so a batch holds three floats per path-step.  A vector step costs tens of
+microseconds whatever the number of paths, so it pays only beyond about
+twenty paths; single paths stay on `_steps`.
 """
 from __future__ import annotations
 
@@ -298,9 +300,11 @@ def simulate_paths(cfgs) -> list:
     not stop the others.  Each path draws from its own stream exactly as
     simulate_path does.  A vector step has a fixed cost of tens of
     microseconds, so this pays only for many paths per call; a single path
-    belongs to simulate_path.  Draws and records take five floats per
-    path-step (four one-sided); the draws are freed before the paths are
-    built.
+    belongs to simulate_path.  Each step's draws wait in the record slots
+    that the step overwrites, so a batch peaks at three floats per
+    path-step: states, signed increments and upper radicand terms while it
+    steps (no upper ones one-sided), then states and the two regulators.
+    The returned paths are read-only column views of those arrays.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -310,42 +314,43 @@ def simulate_paths(cfgs) -> list:
         raise ValueError("batched configs may differ only in seed")
     total, width = cfg.burn_in + cfg.n_steps, len(cfgs)
     two_sided = cfg.barrier.mode == "two_sided"
-    # time-major, so that one time index is one contiguous block: s[k] holds
-    # the scaled normals of step k, q[k] its radicand terms (two-sided: the
-    # lower row, then the upper row)
-    s = np.empty((total, width))
-    q = np.empty((total, 2, width) if two_sided else (total, width))
-    for j, c in enumerate(cfgs):
-        s[:, j], u_lo, u_hi = _draws(cfg, stream_rng(c.seed), total)
-        if two_sided:
-            q[:, 0, j] = _log_terms(u_lo)
-            q[:, 1, j] = _log_terms(u_hi)
-        else:
-            q[:, j] = _log_terms(u_lo)
-    q *= 2.0 * cfg.sigma * cfg.sigma * cfg.delta  # 2 sigma^2 delta ln U
-    # row k: the states after k steps and the signed regulator increment
-    # dR - dL of the k-th step (at most one of the two is nonzero)
+    # time-major, so that one time index is one contiguous row.  Row k of x
+    # holds the state after k steps and row k of g the signed regulator
+    # increment dR - dL of the k-th step (at most one of the two is
+    # nonzero); until step k writes them, they hold its scaled normals and
+    # its lower radicand terms 2 sigma^2 delta ln U.  qh[k - 1] holds the
+    # upper radicand terms of step k.
     x = np.empty((total + 1, width))
     g = np.empty((total + 1, width))
-    x[0] = cfg.start
-    errors = _vector_steps(cfg, s, q, x, g)
-    del s, q  # free the draws before building the paths
-    times = np.arange(cfg.n_steps + 1) * cfg.delta
-    paths = []
+    qh = np.empty((total, width)) if two_sided else None
     for j, c in enumerate(cfgs):
-        if j in errors:
-            paths.append(errors[j])
-            continue
-        inc = g[cfg.burn_in:, j]
-        l_reg = np.maximum(-inc, 0.0)
-        r_reg = np.maximum(inc, 0.0)
-        l_reg[0] = r_reg[0] = 0.0
-        np.cumsum(l_reg, out=l_reg)
-        np.cumsum(r_reg, out=r_reg)
-        paths.append(SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times,
-                                x=x[cfg.burn_in:, j].copy(), l_reg=l_reg,
-                                r_reg=r_reg, seed=c.seed, barrier=cfg.barrier))
-    return paths
+        x[1:, j], u_lo, u_hi = _draws(cfg, stream_rng(c.seed), total)
+        g[1:, j] = _log_terms(u_lo)
+        if two_sided:
+            qh[:, j] = _log_terms(u_hi)
+    scale = 2.0 * cfg.sigma * cfg.sigma * cfg.delta
+    g[1:] *= scale
+    if two_sided:
+        qh *= scale
+    x[0] = cfg.start
+    g[0] = 0.0  # row 0 records no step
+    errors = _vector_steps(cfg, x, g, qh)
+    del qh  # free the draws before the regulators
+    keep = slice(cfg.burn_in, None)
+    x, r_reg = x[keep], g[keep]
+    l_reg = np.negative(r_reg)
+    np.maximum(l_reg, 0.0, out=l_reg)
+    np.maximum(r_reg, 0.0, out=r_reg)
+    l_reg[0] = r_reg[0] = 0.0
+    # a sequential sum down each column: bitwise each column's own cumsum
+    np.cumsum(l_reg, axis=0, out=l_reg)
+    np.cumsum(r_reg, axis=0, out=r_reg)
+    times = np.arange(cfg.n_steps + 1) * cfg.delta
+    return [errors[j] if j in errors else
+            SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times,
+                       x=x[:, j], l_reg=l_reg[:, j], r_reg=r_reg[:, j],
+                       seed=c.seed, barrier=cfg.barrier)
+            for j, c in enumerate(cfgs)]
 
 
 def _log_terms(u) -> np.ndarray:
@@ -353,78 +358,80 @@ def _log_terms(u) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), float, len(u))
 
 
-def _vector_steps(cfg: SimConfig, s, q, x, g) -> dict:
+def _vector_steps(cfg: SimConfig, x, g, qh) -> dict:
     """The reflected Euler kernel of `_steps`, one vector step per time index
-    across the R columns of the draws and records.
+    across the R columns of the records.
 
-    s is (steps, R); q is (steps, 2, R) two-sided, its rows the lower and
-    upper radicand terms 2 sigma^2 delta ln U, and (steps, R) one-sided.
-    Starting from the states in x[0], fills rows 1.. of x with the states and
-    of g with the signed increments dR - dL.  Every value is the scalar
-    kernel's, computed by the same float operations, so each column is
-    bitwise the scalar path.  Returns {column: SimulationDivergedError} for
-    the paths that failed, with the scalar kernel's message and step index.
-    A failed column is parked at the lower barrier and stepped on, and its
-    records mean nothing.
+    x and g are (steps + 1, R); qh is (steps, R) two-sided and None
+    one-sided.  Starting from the states in x[0], step k reads its scaled
+    normals from x[k], its lower radicand terms 2 sigma^2 delta ln U from
+    g[k] and its upper ones from qh[k - 1], then overwrites x[k] with the
+    states and g[k] with the signed increments dR - dL.  Every value is the
+    scalar kernel's, computed by the same float operations, so each column
+    is bitwise the scalar path.  Returns {column: SimulationDivergedError}
+    for the paths that failed, with the scalar kernel's message and step
+    index.  A failed column is parked at the lower barrier and stepped on,
+    and its records mean nothing.
     """
     drift_fn = cfg.drift.fn
     delta = cfg.delta
     lower = cfg.barrier.lower
-    two_sided = q.ndim == 3
+    two_sided = qh is not None
     # one-sided: the largest float, so +inf still fails the domain check
     hi = cfg.barrier.upper if two_sided else sys.float_info.max
     rows = 2 if two_sided else 1
     width = x.shape[1]
-    # dd = (-d, d); m the bridge maxima, then the (dL, dR) candidates; gap =
-    # (state - lower, hi - state), whose negative sign flags a state outside
-    # the domain and whose rows dL and dR subtract (upper - state is exactly
-    # the negative of the scalar kernel's state - upper).
-    dd = np.empty((2, width))
-    neg_d, d = dd
+    # m: the bridge maxima, then the (dL, dR) candidates.  gap = (state -
+    # lower, hi - state), whose negative sign flags a state outside the
+    # domain and whose rows dL and dR subtract (upper - state is exactly the
+    # negative of the scalar kernel's state - upper).  (-d) * (-d) is d * d
+    # and -d + r is r - d, bit for bit.
+    d = np.empty(width)
+    dd = np.empty(width)
     m = np.empty((rows, width))
+    m_lo, m_hi = m[0], m[-1]
     gap = np.empty((2, width))
+    gap_lo, gap_hi = gap
+    gap_m = gap[:rows]
     low = np.empty(width, dtype=bool)
     errors: dict = {}
     with np.errstate(all="ignore"):
-        _gaps(x[0], lower, hi, gap)
-        for k in range(s.shape[0]):
-            state, y, inc = x[k], x[k + 1], g[k + 1]
+        np.subtract(x[0], lower, out=gap_lo)
+        np.subtract(hi, x[0], out=gap_hi)
+        for k in range(1, x.shape[0]):
+            state, y, inc = x[k - 1], x[k], g[k]
             np.multiply(drift_fn(state), delta, out=d)
-            d += s[k]
+            d += y
             np.add(state, d, out=y)
+            np.multiply(d, d, out=dd)
+            np.subtract(dd, inc, out=m_lo)
             if two_sided:
-                np.negative(d, out=neg_d)
-                np.multiply(dd, dd, out=m)
-                m -= q[k]
+                np.subtract(dd, qh[k - 1], out=m_hi)
                 np.sqrt(m, out=m)
-                m += dd
+                m_lo -= d
+                m_hi += d
             else:
-                np.multiply(d, d, out=m[0])
-                m[0] -= q[k]
-                np.sqrt(m[0], out=m[0])
-                m[0] -= d
+                np.sqrt(m_lo, out=m_lo)
+                m_lo -= d
             m *= 0.5
-            m -= gap[:rows]
+            m -= gap_m
             # dL where the lower barrier fired; else dR where the upper did
-            np.greater(m[0], 0.0, out=low)
+            np.greater(m_lo, 0.0, out=low)
             np.maximum(m, 0.0, out=m)
             if two_sided:
-                np.copyto(m[1], 0.0, where=low)
-                np.subtract(m[1], m[0], out=inc)
+                np.copyto(m_hi, 0.0, where=low)
+                np.subtract(m_hi, m_lo, out=inc)
             else:
-                np.subtract(0.0, m[0], out=inc)
+                np.subtract(0.0, m_lo, out=inc)
             # y + dL, y - dR, or y itself (y - +0.0 keeps a -0.0)
             y -= inc
-            _gaps(y, lower, hi, gap)
-            if not gap.min() >= 0.0:
-                _vector_settle(y, lower, hi, k, errors)
-                _gaps(y, lower, hi, gap)
+            np.subtract(y, lower, out=gap_lo)
+            np.subtract(hi, y, out=gap_hi)
+            if not np.minimum.reduce(gap, axis=None) >= 0.0:
+                _vector_settle(y, lower, hi, k - 1, errors)
+                np.subtract(y, lower, out=gap_lo)
+                np.subtract(hi, y, out=gap_hi)
     return errors
-
-
-def _gaps(y, lower, hi, gap) -> None:
-    np.subtract(y, lower, out=gap[0])
-    np.subtract(hi, y, out=gap[1])
 
 
 def _vector_settle(y, lower, hi, k, errors) -> None:

@@ -144,6 +144,16 @@ def test_run_cell_deterministic_and_thread_invariant():
     assert a == c
 
 
+@pytest.mark.parametrize("count", [1, 2, 5, 20, 21, 200])
+def test_median_is_bitwise_np_median(count):
+    rng = np.random.default_rng(count)
+    for values in (rng.random(count), rng.lognormal(size=count),
+                   np.full(count, 0.1) + rng.integers(0, 3, count) * 1e300):
+        got = experiment._median(values.tolist())
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.median(values).tobytes()
+
+
 def test_cell_summary_invariant_under_replication_order():
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=5, grid_count=20, base_seed=8)
@@ -285,14 +295,15 @@ def test_batches_cut_each_group_equally_under_the_budget():
         assert len({tasks[i][1:3] for i in b}) == 1  # one (mode, n) group
         assert b == sorted(b)
         sizes.setdefault(tasks[b[0]][1:3], []).append(len(b))
-    # 60 paths of 400 steps fit in one batch; 60 of 1600 take two of 30
+    # 60 paths of 400 or of 1600 steps fit in one batch
     assert sizes[("two_sided", 400)] == [60]
-    assert sizes[("one_sided_lower", 1600)] == [30, 30]
-    # two paths of 30 000 steps would pass the budget: single replications
+    assert sizes[("one_sided_lower", 1600)] == [60]
+    # five paths of 30 000 steps would pass the budget, and four are below
+    # the crossover: single replications
     assert sizes[("two_sided", 30_000)] == [1] * 60
     # a group below the crossover is stepped path by path
     few = ExperimentPlan(case_id=1, n_list=(400,), beta_list=(0.3,),
-                         n_replications=experiment._MIN_BATCH["two_sided"] - 1)
+                         n_replications=experiment._MIN_BATCH - 1)
     assert all(len(b) == 1 for b in experiment._batches(_table_tasks(few)))
 
 

@@ -538,10 +538,12 @@ def test_simulate_paths_rejects_mixed_configs():
 
 
 def test_batch_at_the_budget_peaks_within_its_arrays():
-    # simulate_paths holds each step's draws (s and two radicand rows) and
-    # records (state and signed increment): 5 floats per path-step.  It
-    # frees the draws before building the paths (3 floats per path-step),
-    # so the peak stays below 6; keeping the draws would reach 8.
+    # simulate_paths keeps each step's scaled normal and lower radicand term
+    # in the record slots (state and signed increment) that the step
+    # overwrites, and only the upper radicand terms beside them: 3 floats
+    # per path-step.  It frees those before the paths' regulators take
+    # their place (states and two regulators, again 3), so the peak stays
+    # below 4; separate draw arrays would reach 5.
     import refsde.experiment as experiment
     n = 1600
     width = experiment._BATCH_STEPS // n
@@ -557,7 +559,21 @@ def test_batch_at_the_budget_peaks_within_its_arrays():
         tracemalloc.stop()
     assert len(paths) == width
     per = peak / (width * n * 8)
-    assert per < 6.0, f"peak {per:.2f} floats per path-step"
+    assert per < 4.0, f"peak {per:.2f} floats per path-step"
+
+
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+def test_batched_paths_are_read_only(mode):
+    # the paths are views of the batch's shared arrays: a write through one
+    # path would change it under its neighbours' feet
+    base = SimConfig(drift=builtin_drift(1), sigma=0.2,
+                     barrier=_BARRIERS[mode], n_steps=50, delta=0.01,
+                     burn_in=5)
+    for p in simulate_paths([replace(base, seed=s) for s in _BATCH_SEEDS]):
+        for arr in (p.times, p.x, p.l_reg, p.r_reg):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 def _reflection_gap_violations(p, thresh):
