@@ -166,8 +166,10 @@ def _check_inputs(path: SamplePath, grid: np.ndarray) -> np.ndarray:
 
 def _estimate(path: SamplePath, k: KernelSpec, grid, estimator: str) -> EstimateResult:
     grid = _check_inputs(path, grid)
-    obs = path.x[:-1]
-    incr = np.diff(path.x) - np.diff(path.l_reg)
+    # one copy of a batched path's strided column, read by every pass below
+    x = np.ascontiguousarray(path.x)
+    obs = x[:-1]
+    incr = np.diff(x) - np.diff(path.l_reg)
     if path.barrier.mode == "two_sided":
         incr = incr + np.diff(path.r_reg)
     values, f_hat = _nw_core(obs, incr, path.delta, k, grid)

@@ -87,9 +87,11 @@ class BarrierConfig:
     def contains(self, x) -> bool:
         """True when every value of x lies in the barrier domain."""
         arr = np.asarray(x)
-        if not np.all(arr >= self.lower):
+        # ndarray.all(), not np.all, whose Python wrapper costs more than a
+        # scalar's comparison
+        if not (arr >= self.lower).all():
             return False
-        return self.mode == "one_sided_lower" or bool(np.all(arr <= self.upper))
+        return self.mode == "one_sided_lower" or bool((arr <= self.upper).all())
 
 
 @dataclass(frozen=True)

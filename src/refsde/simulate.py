@@ -12,21 +12,24 @@ the upper one is dR = max(0, B + (state - u)) with B the supremum of the
 positive displacement.  This yields the regulator increments the estimators
 consume, at the usual Euler-Maruyama convergence rate.
 
-The scalar kernel, `_steps`, takes every step of `step` and `simulate_path`.
-The noise is drawn and transformed as arrays first (the scaled normal
-sigma * sqrt(delta) * Z, then U = 1 - Uniform[0, 1)), and the kernel turns
-it into Python floats one block at a time, together with the radicand term
-2 sigma^2 delta ln U; a step is then the drift call plus inline float
-arithmetic, with the bridge maxima written out.
+Every path is stepped on one record layout (`_records`): time-major arrays
+of states and of signed regulator increments dR - dL, plus the upper
+radicand terms two-sided, one column per path.  Each step's draws, the
+scaled normal sigma * (Z * sqrt(delta)) and the radicand terms
+2 sigma^2 delta ln U with U = 1 - Uniform[0, 1), wait in the slots that the
+step overwrites, so the records hold three floats per path-step.  Two
+kernels step them, with the same float operations in the same order, so
+each path is bitwise the same whichever steps it:
 
-The vector kernel, `_vector_steps`, steps many paths that differ only in
-their seed, for `simulate_paths`: one drift call and one pass of array
-arithmetic per time index across all the paths, the same float operations
-as `_steps` in the same order, so each path is bitwise its scalar path.
-Each step reads its draws from the record slots that it then overwrites,
-so a batch holds three floats per path-step.  A vector step costs tens of
-microseconds whatever the number of paths, so it pays only beyond about
-twenty paths; single paths stay on `_steps`.
+- the scalar kernel, `_steps`, for `simulate_path` (a batch of one): one
+  column at a time, one block of Python floats at a time, through the
+  float loop `_float_steps` that `step` also runs;
+- the vector kernel, `_vector_steps`, for `simulate_paths`: one drift call
+  and one pass of array arithmetic per time index across all the columns.
+  A vector step costs tens of microseconds whatever the number of paths,
+  so it pays only beyond about twenty paths.
+
+`_simulate` runs records, kernel and finish for both.
 """
 from __future__ import annotations
 
@@ -58,9 +61,9 @@ __all__ = [
 # domain exactly, so any overshoot beyond this is a genuine failure.
 _CLAMP = 1e-12
 
-# Steps per kernel call in `simulate_path`.  The kernel holds one block's
-# draws and records as Python floats (about 2 MB at 2**14 steps), so a long
-# path's working set is its arrays.
+# Steps per block of the draw transform and of the scalar kernel, which
+# hold one block's draws and records as Python floats (about 2 MB at 2**14
+# steps), so a long path's working set is its records.
 _BLOCK = 2**14
 
 
@@ -152,72 +155,122 @@ def _bridge_max(y: float, sigma: float, delta: float, u: float) -> float:
     return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * math.log(u)))
 
 
-def _draws(cfg: SimConfig, rng: np.random.Generator, count: int):
-    """Draw ``count`` steps' noise: all normals, then all lower uniforms, then
-    (two-sided mode only) all upper uniforms.
+def _records(cfg: SimConfig, rngs, total: int):
+    """The records of ``total`` steps of one path per generator in ``rngs``,
+    its draws in place: the one layout both kernels step.
 
-    Returns (s, u_lo, u_hi) as arrays, u_hi None in one-sided mode, with
-    s = sigma * (Z * sqrt(delta)) and U = 1 - Uniform[0, 1) in (0, 1].
+    Returns (x, g, qh).  x and g are time-major (total + 1, R), so that one
+    time index is one contiguous row, and qh is (total, R) two-sided, None
+    one-sided.  Row k of x holds the state after k steps and row k of g the
+    signed regulator increment dR - dL of the k-th step (at most one of the
+    two is nonzero); until step k writes them, they hold its scaled normals
+    and its lower radicand terms, and qh[k - 1] its upper radicand terms.
+    Row 0 holds the start and no increment.
     """
-    s = rng.standard_normal(count)
-    s *= math.sqrt(cfg.delta)
-    s *= cfg.sigma
-    u_lo = rng.random(count)
-    np.subtract(1.0, u_lo, out=u_lo)
-    if cfg.barrier.mode != "two_sided":
-        return s, u_lo, None
-    u_hi = rng.random(count)
-    np.subtract(1.0, u_hi, out=u_hi)
-    return s, u_lo, u_hi
+    width = len(rngs)
+    x = np.empty((total + 1, width))
+    g = np.empty((total + 1, width))
+    qh = np.empty((total, width)) if cfg.barrier.mode == "two_sided" else None
+    for j, rng in enumerate(rngs):
+        _draws(cfg, rng, x[1:, j], g[1:, j], None if qh is None else qh[:, j])
+    x[0] = cfg.start
+    g[0] = 0.0
+    return x, g, qh
 
 
-def _steps(cfg: SimConfig, state: float, s, u_lo, u_hi, xs, dls, drs) -> float:
-    """The reflected Euler kernel: one step per entry of the draw arrays.
+def _draws(cfg: SimConfig, rng: np.random.Generator, s, q_lo, q_hi) -> None:
+    """Fill one path's draw slots s, q_lo and q_hi (None one-sided) from
+    ``rng``, one channel at a time: all normals, then all lower uniforms,
+    then all upper uniforms, taken and transformed one _BLOCK at a time.
 
-    s, u_lo and u_hi are a slice of `_draws` (u_hi None in one-sided mode).
-    Appends each next state, dL and dR to the lists xs, dls, drs and returns
-    the last state; a failing step raises SimulationDivergedError after
-    len(xs) completed steps.  Exactly one of dL, dR can be nonzero: the lower
-    barrier is handled first and, if it fired, the upper sample is skipped
-    (both barriers in one step is an o(delta) event).
+    s gets the scaled normals sigma * (Z * sqrt(delta)); q_lo and q_hi get
+    the radicand terms 2 sigma^2 delta ln U of `_bridge_max`, in its order,
+    with U = 1 - Uniform[0, 1) in (0, 1].  math.log, not np.log, whose last
+    bit differs on some inputs.
+    """
+    sqrt_delta = math.sqrt(cfg.delta)
+    c = 2.0 * cfg.sigma * cfg.sigma * cfg.delta
+    total = len(s)
+    for a in range(0, total, _BLOCK):
+        z = rng.standard_normal(min(_BLOCK, total - a))
+        z *= sqrt_delta
+        np.multiply(z, cfg.sigma, out=s[a:a + _BLOCK])
+    for q in (q_lo,) if q_hi is None else (q_lo, q_hi):
+        for a in range(0, total, _BLOCK):
+            u = rng.random(min(_BLOCK, total - a))
+            np.subtract(1.0, u, out=u)
+            u = np.fromiter(map(math.log, u.tolist()), float, len(u))
+            np.multiply(u, c, out=q[a:a + _BLOCK])
+
+
+def _steps(cfg: SimConfig, x, g, qh) -> dict:
+    """The scalar kernel: `_float_steps` down each column of the records of
+    `_records` alone, one block of at most _BLOCK steps at a time.
+
+    Each block's slots become Python floats, and the block's states and
+    signed increments are written back in their place.  Returns {column:
+    SimulationDivergedError} for the paths that failed, with the index of
+    the failing step; a failed column's records mean nothing.
+    """
+    total = x.shape[0] - 1
+    errors: dict = {}
+    for j in range(x.shape[1]):
+        state = float(x[0, j])
+        for a in range(0, total, _BLOCK):
+            b = min(a + _BLOCK, total)
+            xs, incs = [], []
+            try:
+                state = _float_steps(
+                    cfg, state, x[a + 1:b + 1, j].tolist(),
+                    g[a + 1:b + 1, j].tolist(),
+                    None if qh is None else qh[a:b, j].tolist(), xs, incs)
+            except SimulationDivergedError as e:
+                errors[j] = SimulationDivergedError(str(e), step_index=a + len(xs))
+                break
+            x[a + 1:b + 1, j] = xs
+            g[a + 1:b + 1, j] = incs
+    return errors
+
+
+def _float_steps(cfg: SimConfig, state: float, s, q_lo, q_hi, xs, incs) -> float:
+    """The reflected Euler float loop: one step per entry of the lists s,
+    q_lo and q_hi (scaled normals and radicand terms, q_hi None one-sided).
+
+    Appends each next state and signed increment dR - dL to the lists xs
+    and incs and returns the last state; a failing step raises
+    SimulationDivergedError after len(xs) completed steps.  Exactly one of
+    dL, dR can be nonzero: the lower barrier is handled first and, if it
+    fired, the upper sample is skipped (both barriers in one step is an
+    o(delta) event).
     """
     drift_fn = cfg.drift.fn
     delta = cfg.delta
     lower = cfg.barrier.lower
-    upper = cfg.barrier.upper if u_hi is not None else None
+    upper = cfg.barrier.upper if q_hi is not None else None
     # one-sided: the largest float, so +inf still fails the domain check
     hi = upper if upper is not None else sys.float_info.max
-    # q = 2 sigma^2 delta ln U, the bridge-maximum radicand term of
-    # `_bridge_max`, evaluated in its order; math.log, not np.log, whose last
-    # bit differs on some inputs.
-    c = 2.0 * cfg.sigma * cfg.sigma * delta
-    log, sqrt = math.log, math.sqrt
-    q_lo = [c * log(u) for u in u_lo.tolist()]
+    sqrt = math.sqrt
+    add_x, add_inc = xs.append, incs.append
     # one-sided mode never reads qh; q_lo only fills the zip
-    q_hi = [c * log(u) for u in u_hi.tolist()] if u_hi is not None else q_lo
-    add_x, add_l, add_r = xs.append, dls.append, drs.append
-    for s_k, ql, qh in zip(s.tolist(), q_lo, q_hi):
+    for s_k, ql, qh in zip(s, q_lo, q_lo if q_hi is None else q_hi):
         d = float(drift_fn(state)) * delta + s_k
         y = state + d
         dl = 0.5 * (-d + sqrt(d * d - ql)) - (state - lower)
         if dl > 0.0:
-            dr = 0.0
+            inc = -dl
             nxt = y + dl
         else:
-            dl = 0.0
-            dr = 0.0
+            inc = 0.0
             nxt = y
             if upper is not None:
                 dr = 0.5 * (d + sqrt(d * d - qh)) + (state - upper)
                 if dr > 0.0:
+                    inc = dr
                     nxt = y - dr
-                else:
-                    dr = 0.0
         if not lower <= nxt <= hi:
             nxt = _settle(nxt, lower, hi)
         add_x(nxt)
-        add_l(dl)
-        add_r(dr)
+        add_inc(inc)
         state = nxt
     return state
 
@@ -244,50 +297,35 @@ def step(state: float, cfg: SimConfig, rng: np.random.Generator):
     """
     if not cfg.barrier.contains(state):
         raise ValueError("state must lie in the barrier domain")
-    xs, dls, drs = [], [], []
-    _steps(cfg, float(state), *_draws(cfg, rng, 1), xs, dls, drs)
-    return xs[0], dls[0], drs[0]
+    s, q_lo = np.empty(1), np.empty(1)
+    q_hi = np.empty(1) if cfg.barrier.mode == "two_sided" else None
+    _draws(cfg, rng, s, q_lo, q_hi)
+    xs, incs = [], []
+    _float_steps(cfg, float(state), s.tolist(), q_lo.tolist(),
+                 None if q_hi is None else q_hi.tolist(), xs, incs)
+    inc = incs[0]
+    # an unfired barrier gives +0.0, where -inc or max(-inc, 0.0) gives -0.0
+    return xs[0], (-inc if inc < 0.0 else 0.0), (inc if inc > 0.0 else 0.0)
 
 
 def simulate_path(cfg: SimConfig) -> SamplePath:
     """Simulate n_steps reflected Euler steps after the burn-in.
 
-    Fully deterministic given cfg.seed.  The whole path's draws are taken at
-    once per channel (normals, then lower uniforms, then upper uniforms) and
-    transformed once as arrays, so a path is reproducible only through this
-    function, not by replaying `step`.  The one stepping kernel that `step`
-    also runs then takes them as Python floats, converted one block of at
-    most _BLOCK steps at a time, so the working set beyond the path's own
-    arrays stays bounded.  The regulators are cumulative sums of the
-    recorded increments.
+    Fully deterministic given cfg.seed.  The path is a batch of one: the
+    records of `_records` one column wide, stepped by the scalar kernel
+    `_steps`, then finished as `simulate_paths` finishes its paths.  The
+    whole path's draws are taken per channel (normals, then lower uniforms,
+    then upper uniforms), so a path is reproducible only through this
+    function, not by replaying `step`.  The working set is the records:
+    states, signed increments and upper radicand terms while the path
+    steps, then states, both regulators and the times, plus one block of
+    at most _BLOCK steps as Python floats.  A failing step raises its
+    SimulationDivergedError.
     """
-    total = cfg.burn_in + cfg.n_steps
-    s, u_lo, u_hi = _draws(cfg, stream_rng(cfg.seed), total)
-    # index k holds the state after k steps and the increments of the k-th
-    x = np.empty(total + 1)
-    dl = np.empty(total + 1)
-    dr = np.empty(total + 1)
-    x[0] = state = cfg.start
-    for a in range(0, total, _BLOCK):
-        b = min(a + _BLOCK, total)
-        xs, dls, drs = [], [], []
-        try:
-            state = _steps(cfg, state, s[a:b], u_lo[a:b],
-                           None if u_hi is None else u_hi[a:b], xs, dls, drs)
-        except SimulationDivergedError as e:
-            raise SimulationDivergedError(str(e), step_index=a + len(xs)) from None
-        x[a + 1:b + 1] = xs
-        dl[a + 1:b + 1] = dls
-        dr[a + 1:b + 1] = drs
-    del s, u_lo, u_hi  # free the draws before the regulators and times
-    keep = slice(cfg.burn_in, None)
-    x, l_reg, r_reg = x[keep], dl[keep], dr[keep]
-    l_reg[0] = r_reg[0] = 0.0
-    np.cumsum(l_reg, out=l_reg)
-    np.cumsum(r_reg, out=r_reg)
-    times = np.arange(cfg.n_steps + 1) * cfg.delta
-    return SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times, x=x,
-                      l_reg=l_reg, r_reg=r_reg, seed=cfg.seed, barrier=cfg.barrier)
+    path, = _simulate([cfg], _steps)
+    if isinstance(path, SimulationDivergedError):
+        raise path
+    return path
 
 
 def simulate_paths(cfgs) -> list:
@@ -297,14 +335,13 @@ def simulate_paths(cfgs) -> list:
     Returns one entry per config, in order: the SamplePath that
     simulate_path(cfg) returns, bit for bit, or the SimulationDivergedError
     (same message and step_index) that it would raise.  A failing path does
-    not stop the others.  Each path draws from its own stream exactly as
-    simulate_path does.  A vector step has a fixed cost of tens of
-    microseconds, so this pays only for many paths per call; a single path
-    belongs to simulate_path.  Each step's draws wait in the record slots
-    that the step overwrites, so a batch peaks at three floats per
-    path-step: states, signed increments and upper radicand terms while it
-    steps (no upper ones one-sided), then states and the two regulators.
-    The returned paths are read-only column views of those arrays.
+    not stop the others.  The paths take the records of `simulate_path`,
+    one column each, so each draws from its own stream exactly as
+    simulate_path does; only the kernel differs, `_vector_steps` for
+    `_steps`.  A vector step has a fixed cost of tens of microseconds, so
+    this pays only for many paths per call; a single path belongs to
+    simulate_path.  A batch peaks at three floats per path-step, and the
+    returned paths are read-only column views of its arrays.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -312,29 +349,22 @@ def simulate_paths(cfgs) -> list:
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("batched configs may differ only in seed")
-    total, width = cfg.burn_in + cfg.n_steps, len(cfgs)
-    two_sided = cfg.barrier.mode == "two_sided"
-    # time-major, so that one time index is one contiguous row.  Row k of x
-    # holds the state after k steps and row k of g the signed regulator
-    # increment dR - dL of the k-th step (at most one of the two is
-    # nonzero); until step k writes them, they hold its scaled normals and
-    # its lower radicand terms 2 sigma^2 delta ln U.  qh[k - 1] holds the
-    # upper radicand terms of step k.
-    x = np.empty((total + 1, width))
-    g = np.empty((total + 1, width))
-    qh = np.empty((total, width)) if two_sided else None
-    for j, c in enumerate(cfgs):
-        x[1:, j], u_lo, u_hi = _draws(cfg, stream_rng(c.seed), total)
-        g[1:, j] = _log_terms(u_lo)
-        if two_sided:
-            qh[:, j] = _log_terms(u_hi)
-    scale = 2.0 * cfg.sigma * cfg.sigma * cfg.delta
-    g[1:] *= scale
-    if two_sided:
-        qh *= scale
-    x[0] = cfg.start
-    g[0] = 0.0  # row 0 records no step
-    errors = _vector_steps(cfg, x, g, qh)
+    return _simulate(cfgs, _vector_steps)
+
+
+def _simulate(cfgs: list, kernel) -> list:
+    """The records of cfgs (which differ only in seed), stepped by
+    ``kernel``, then finished: each column as the SamplePath of its config,
+    or the error that the kernel filed for it.
+
+    The finish drops the burn-in rows and sums the signed increments into
+    the two regulators, L from max(-g, 0) and R from max(g, 0) in place of
+    g.
+    """
+    cfg = cfgs[0]
+    x, g, qh = _records(cfg, [stream_rng(c.seed) for c in cfgs],
+                        cfg.burn_in + cfg.n_steps)
+    errors = kernel(cfg, x, g, qh)
     del qh  # free the draws before the regulators
     keep = slice(cfg.burn_in, None)
     x, r_reg = x[keep], g[keep]
@@ -353,14 +383,9 @@ def simulate_paths(cfgs) -> list:
             for j, c in enumerate(cfgs)]
 
 
-def _log_terms(u) -> np.ndarray:
-    # math.log per draw: np.log differs from it in the last bit on some inputs
-    return np.fromiter(map(math.log, u.tolist()), float, len(u))
-
-
 def _vector_steps(cfg: SimConfig, x, g, qh) -> dict:
-    """The reflected Euler kernel of `_steps`, one vector step per time index
-    across the R columns of the records.
+    """The vector kernel: the float loop of `_float_steps`, one vector step
+    per time index across the R columns of the records of `_records`.
 
     x and g are (steps + 1, R); qh is (steps, R) two-sided and None
     one-sided.  Starting from the states in x[0], step k reads its scaled

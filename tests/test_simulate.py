@@ -398,6 +398,30 @@ def test_step_is_bitwise_the_oracle_step(mode):
     assert (fired_r > 0) == (mode == "two_sided")
 
 
+@pytest.mark.parametrize("mode", sorted(_BARRIERS))
+def test_step_regulator_zeros_are_positive(mode):
+    # step() reads dL and dR off the signed increment dR - dL, where -0.0
+    # would pass every == check: an unfired barrier must give +0.0, as the
+    # oracle does, and a fired one the oracle's exact bits
+    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=_BARRIERS[mode],
+                    n_steps=1, delta=0.05, seed=0)
+    fired = unfired = 0
+    for seed, state in enumerate(np.linspace(0.0, 3.0, 61).tolist()):
+        rng, oracle_rng = stream_rng(seed), stream_rng(seed)
+        for _ in range(5):
+            got = step(state, cfg, rng)
+            want = _oracle_step(state, cfg, oracle_rng)
+            for g, w in zip(got[1:], want[1:]):
+                if w == 0.0:
+                    assert math.copysign(1.0, g) == 1.0
+                    unfired += 1
+                else:
+                    assert g.hex() == w.hex()
+                    fired += 1
+            state = got[0]
+    assert fired > 0 and unfired > 0
+
+
 def test_divergence_index_is_absolute_in_and_after_the_burn_in():
     # case 2's one-sided path runs off to infinity after the first draw block
     for burn_in, n_steps in ((100, 40_000), (40_000, 100)):
@@ -427,9 +451,12 @@ def test_step_error_has_no_step_prefix():
 
 
 def test_simulate_path_working_set_is_linear():
-    # the path's own arrays are 4 floats per step and the draw arrays 3;
-    # a Python float for every draw of the path at once would add about 4
-    # floats per draw, 19 floats per step in all
+    # the path is records of width one: states, signed increments and upper
+    # radicand terms (3 floats per step) while it steps, then states, both
+    # regulators, the times and the integer range they come from (5), with
+    # SamplePath's checks about 6.1 at the peak; separate draw arrays beside
+    # the records would add 3, and a Python float for every draw of the path
+    # at once about 4 per draw
     n = 2**17
     cfg = SimConfig(drift=builtin_drift(2), sigma=0.2, barrier=TWO_SIDED,
                     n_steps=n, delta=0.01, seed=7, burn_in=100)
@@ -439,7 +466,7 @@ def test_simulate_path_working_set_is_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * n * 8, f"peak {peak / (n * 8):.1f} floats per step"
+    assert peak < 7 * n * 8, f"peak {peak / (n * 8):.1f} floats per step"
 
 
 # --- the vector kernel: many same-config paths per step ---------------------
