@@ -265,3 +265,48 @@ def test_inner_rule_blocks_stay_within_node_budget(panels):
         assert set(sizes) == {per_target}
     else:
         assert max(sizes) <= _NODE_BUDGET
+
+
+@pytest.mark.parametrize("barrier", [TWO_SIDED, BarrierConfig.one_sided(0.0)],
+                         ids=["two-sided", "one-sided"])
+def test_case3_normalizer_stops_at_first_doubling(monkeypatch, barrier):
+    # the graded map takes case 3's boundary layer and sqrt endpoint at the
+    # first doubling of the default 1024 panels: 2 * 2048 + 1 outer nodes
+    # (a uniform rule needs 2 * 32768 + 1)
+    outer = []
+
+    def counting(fn, a, b, start):
+        def fn_counted(x):
+            outer.append(np.size(x))
+            return fn(x)
+        return _converged_simpson(fn_counted, a, b, start)
+
+    monkeypatch.setattr("refsde.density._converged_simpson", counting)
+    invariant_density(builtin_drift(3), SIGMA, barrier)
+    assert sum(outer) == 2 * 2048 + 1
+
+
+_ZS = [(builtin_drift(c), b) for c in (1, 2, 3)
+       for b in (TWO_SIDED, BarrierConfig.one_sided(0.0))] + [
+    (_const_drift(-1.0), TWO_SIDED),
+    (DriftSpec("mean-reverting", lambda x: 1.5 - np.asarray(x, dtype=float)),
+     TWO_SIDED),
+]
+
+
+@pytest.mark.parametrize("drift, barrier", _ZS,
+                         ids=[f"{d.name}-{b.mode}" for d, b in _ZS])
+def test_graded_normalizer_matches_uniform_rule(drift, barrier):
+    # Both rules integrate the same g (same inner rule) and stop once two
+    # levels differ by at most _NORM_RTOL * max(1, Z).  Simpson's error falls
+    # by at least 2**2.5 per doubling even at a y**1.5 endpoint, so each
+    # rule's error is at most 1e-10 * max(1, Z) / (2**2.5 - 1); with
+    # Z >= 0.0199 here the two differ by at most 2.2e-9 relative, inside
+    # criterion 6's 1e-8.
+    dens = invariant_density(drift, SIGMA, barrier)
+
+    def g(x):
+        return _unnormalized(drift, SIGMA, 0.0, x, 1024)
+
+    uniform = _converged_simpson(g, 0.0, dens.support_hi, 1024)
+    assert dens.normalizer == pytest.approx(uniform, rel=1e-8, abs=0.0)
