@@ -159,7 +159,7 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     vanishes like sqrt(x - l) gives g a (y - l)^{3/2} term that slows a
     uniform Simpson rule to O(h^{5/2}).  Grading turns that term into a
     smooth one: case 3 at sigma 0.2 stops at 2048 panels, where a uniform
-    rule needs 32768.  A map that grades only the lower end (y = l + W s^2)
+    rule needs 131072.  A map that grades only the lower end (y = l + W s^2)
     would thin the nodes at the upper barrier, where b = -1 piles the mass:
     it needs 32768 panels there, against 4096 for this map.
     """
@@ -205,13 +205,11 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
 def _converged_simpson(fn, a: float, b: float, start_panels: int) -> float:
     """Simpson of fn on [a, b], doubling the panels until two levels agree.
 
-    Two levels agree when they differ by at most _NORM_RTOL * max(1, |Z|):
-    a relative test for |Z| >= 1, and an absolute one of 1e-10 for |Z| < 1,
-    where the normalizers of the built-in cases lie (0.02-0.06 at sigma
-    0.2), so there the relative agreement is 1e-10 / |Z|.  A relative test
-    at 1e-10 would cost 2-8 times the nodes on case 2, b = 6 and
-    b = 1.5 - x at sigma 0.2 (none more on cases 1 and 3); the absolute one
-    leaves b = 6's Z = 1/300 off by 1.7e-9 relative.
+    Two levels agree when they differ by at most _NORM_RTOL * |Z|, relative
+    whatever the size of Z: the built-in cases' normalizers lie at 0.02-0.06
+    at sigma 0.2, and b = 6's at 1/300, where an absolute 1e-10 would leave
+    1.7e-9 relative error.  Cases 1 and 3 at sigma 0.2 stop at 2048 panels,
+    case 2 at 4096.
 
     The levels share nodes: level P's nodes are bit-for-bit the even nodes
     of level 2P, so each doubling keeps the old values and calls fn only at
@@ -229,7 +227,7 @@ def _converged_simpson(fn, a: float, b: float, start_panels: int) -> float:
         vals[0::2] = old
         vals[1::2] = fn(a + (b - a) * offsets[1::2])
         cur = float(vals @ w) * (b - a)
-        if abs(cur - prev) <= _NORM_RTOL * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _NORM_RTOL * abs(cur):
             return cur
         prev = cur
     raise RuntimeError("normalizer quadrature failed to stabilize")

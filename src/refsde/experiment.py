@@ -217,13 +217,6 @@ def _sim_config(plan: ExperimentPlan, mode: str, n: int, seed) -> SimConfig:
                      burn_in=plan.burn_in)
 
 
-def _simulate_one(plan: ExperimentPlan, cfg: SimConfig) -> SamplePath:
-    """The path the plan's estimator reads, through the scalar kernel."""
-    if plan.estimator_type == "continuous":
-        return simulate_fine(cfg, plan.refine)
-    return simulate_path(cfg)
-
-
 def _estimate(plan: ExperimentPlan, n: int, beta: float, path: SamplePath,
               grid) -> EstimateResult:
     k = epanechnikov(bandwidth(n, beta))
@@ -252,9 +245,14 @@ def _point_estimate(task, path):
 
 
 def _task_config(task) -> SimConfig:
+    """The config of the path the task's estimator reads: the observation
+    grid's, or the fine grid's for the continuous estimator."""
     plan, mode, n, beta, r = task[0], task[1], task[2], task[3], task[-1]
     seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
-    return _sim_config(plan, mode, n, seed)
+    cfg = _sim_config(plan, mode, n, seed)
+    if plan.estimator_type == "continuous":
+        return fine_config(cfg, plan.refine)
+    return cfg
 
 
 # Path-steps in one batch of replications stepped together.  It bounds the
@@ -262,18 +260,11 @@ def _task_config(task) -> SimConfig:
 # and lets the 60 replications of one (mode, n = 1600) group, three betas
 # at 20 each, step as one batch.
 _BATCH_STEPS = 2**17
-# The fewest paths that one vector step per time index (simulate_paths)
-# steps clearly faster than simulate_path steps them one by one: a vector
-# step costs about 20 us whatever the width.  Measured on cases 1 and 2 at
-# n = 400 and 1600, both barrier modes: the break-even widths were 14-18
-# (medians of five runs each), rounded up here.
-_MIN_BATCH = 20
 
 
 def _path_steps(task) -> int:
-    plan, n = task[0], task[2]
-    return (plan.burn_in + n) * (plan.refine
-                                 if plan.estimator_type == "continuous" else 1)
+    cfg = _task_config(task)
+    return cfg.burn_in + cfg.n_steps
 
 
 def _batches(tasks) -> list[list[int]]:
@@ -282,8 +273,7 @@ def _batches(tasks) -> list[list[int]]:
     Tasks whose paths share every SimConfig field but the seed (the same
     plan, mode and n) form a group, taken in task order.  A group is cut
     into the fewest equal batches that each hold at most _BATCH_STEPS
-    path-steps.  A batch below _MIN_BATCH is cut into single replications,
-    which step through the scalar kernel.
+    path-steps; simulate_paths picks the kernel that steps a batch.
     """
     groups: dict = {}
     for i, task in enumerate(tasks):
@@ -292,32 +282,20 @@ def _batches(tasks) -> list[list[int]]:
     for members in groups.values():
         per = max(1, _BATCH_STEPS // _path_steps(tasks[members[0]]))
         count = -(-len(members) // per)
-        for b in range(count):
-            batch = members[b * len(members) // count:
-                            (b + 1) * len(members) // count]
-            if len(batch) >= _MIN_BATCH:
-                batches.append(batch)
-            else:
-                batches.extend([i] for i in batch)
+        batches.extend(members[b * len(members) // count:
+                               (b + 1) * len(members) // count]
+                       for b in range(count))
     return batches
 
 
 def _batch_worker(job):
     """Simulate one batch of replications and estimate each on its path.
 
-    Returns one result per task, or the exception that task raised.  A
-    batch of one steps through the scalar kernel.
+    Returns one result per task, or the exception that task raised.
     """
     estimate, tasks = job
-    plan = tasks[0][0]
     try:
-        cfgs = [_task_config(t) for t in tasks]
-        if len(cfgs) == 1:
-            paths = [_simulate_one(plan, cfgs[0])]
-        elif plan.estimator_type == "continuous":
-            paths = simulate_paths(fine_config(c, plan.refine) for c in cfgs)
-        else:
-            paths = simulate_paths(cfgs)
+        paths = simulate_paths([_task_config(t) for t in tasks])
     except Exception as exc:
         paths = [exc] * len(tasks)
     return [p if isinstance(p, Exception) else _run_task(estimate, t, p)
@@ -335,9 +313,13 @@ def _map_replications(estimate, tasks, threads):
     """Results of the replication tasks, in task order, each computed by
     estimate(task, path) on the task's simulated path.
 
-    The unit of work is a batch (see _batches): many same-config paths
-    stepped together, or one replication on the scalar kernel.  Batches go
-    largest first to the workers, serially or in one pool.  Tasks hold only
+    The unit of work is a batch (see _batches): same-config paths stepped
+    together by one simulate_paths call.  Batches go largest first to the
+    workers, serially or in one pool, one batch at a time: a batch already
+    holds up to _BATCH_STEPS path-steps, and chunks of several batches only
+    leave one worker a longer tail (criterion 5's continuous half, 63
+    batches on 2 workers, took 6.4 s in chunks of seven against 6.0 s one
+    at a time; medians of five runs on a 2-vCPU VM).  Tasks hold only
     picklable primitives (plans, numbers, strings), and each carries its own
     stream key, so neither the batching nor the partition into workers can
     change any result.  A task that raises does not stop the others: its
@@ -353,8 +335,7 @@ def _map_replications(estimate, tasks, threads):
         done = list(map(_batch_worker, jobs))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(_batch_worker, jobs,
-                                 chunksize=max(1, len(jobs) // (4 * threads))))
+            done = list(pool.map(_batch_worker, jobs))
     results = [None] * len(tasks)
     for batch, values in zip(batches, done):
         for i, value in zip(batch, values):
@@ -460,7 +441,9 @@ def curve(plan: ExperimentPlan, n: int, beta: float, seed: int):
         raise ValueError(f"curve needs a concrete barrier mode, got {cell_mode!r}")
     grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
     key = replication_seed(seed, plan.case_id, cell_mode, n, beta, 0)
-    path = _simulate_one(plan, _sim_config(plan, cell_mode, int(n), key))
+    cfg = _sim_config(plan, cell_mode, int(n), key)
+    path = (simulate_fine(cfg, plan.refine)
+            if plan.estimator_type == "continuous" else simulate_path(cfg))
     est = _estimate(plan, int(n), float(beta), path, grid)
     truth = builtin_drift(plan.case_id)(grid)
     return [(float(x), None if bad else float(v), float(t))
@@ -515,13 +498,23 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
         raise NoDataError("estimate undefined at x0 in every replication")
     z = scale * (kept - float(drift(x0)))
     var_z = float(np.var(z, ddof=1)) if kept.size > 1 else 0.0
-    # imported here: scipy.stats costs every other command about 1 s and 70 MB
-    from scipy import stats as sps
-    ks = float(sps.kstest(z, "norm").statistic)
     return NormalityReport(case_id=int(case_id), x0=float(x0), n=int(n),
                            beta=float(beta), mean_z=float(z.mean()),
-                           var_z=var_z, ks_stat=ks, dropped=dropped,
-                           n_replications=int(n_replications))
+                           var_z=var_z, ks_stat=_ks_normal(z),
+                           dropped=dropped, n_replications=int(n_replications))
+
+
+def _ks_normal(z) -> float:
+    """One-sample Kolmogorov-Smirnov distance of the sample z from N(0, 1):
+    max over the sorted z_(i) of i/N - Phi(z_(i)) and Phi(z_(i)) - (i-1)/N,
+    with Phi = 0.5 erfc(-z / sqrt 2), in scipy.stats.kstest's order."""
+    z = np.sort(z)
+    root2 = math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc(-v / root2) for v in z.tolist()])
+    n = z.size
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
 
 
 def write_summary_csv(summaries: Sequence[McSummary], out_path,

@@ -21,15 +21,16 @@ step overwrites, so the records hold three floats per path-step.  Two
 kernels step them, with the same float operations in the same order, so
 each path is bitwise the same whichever steps it:
 
-- the scalar kernel, `_steps`, for `simulate_path` (a batch of one): one
-  column at a time, one block of Python floats at a time, through the
-  float loop `_float_steps` that `step` also runs;
-- the vector kernel, `_vector_steps`, for `simulate_paths`: one drift call
-  and one pass of array arithmetic per time index across all the columns.
-  A vector step costs tens of microseconds whatever the number of paths,
-  so it pays only beyond about twenty paths.
+- the scalar kernel, `_steps`: one column at a time, one block of Python
+  floats at a time, through the float loop `_float_steps` that `step` also
+  runs;
+- the vector kernel, `_vector_steps`: one drift call and one pass of array
+  arithmetic per time index across all the columns.
 
-`_simulate` runs records, kernel and finish for both.
+`simulate_paths` is the one way in: it steps a batch of at least _MIN_BATCH
+paths with the vector kernel and a narrower one with the scalar kernel, and
+`simulate_path` is its batch of one.  `_simulate` runs records, kernel and
+finish for both.
 """
 from __future__ import annotations
 
@@ -65,6 +66,12 @@ _CLAMP = 1e-12
 # hold one block's draws and records as Python floats (about 2 MB at 2**14
 # steps), so a long path's working set is its records.
 _BLOCK = 2**14
+# The fewest paths that the vector kernel steps clearly faster than the
+# scalar kernel steps them one by one: a vector step costs about 20 us
+# whatever the width.  Measured on cases 1 and 2 at n = 400 and 1600, both
+# barrier modes: the break-even widths were 14-18 (medians of five runs
+# each), rounded up here.
+_MIN_BATCH = 20
 
 
 class SimulationDivergedError(RuntimeError):
@@ -311,18 +318,16 @@ def step(state: float, cfg: SimConfig, rng: np.random.Generator):
 def simulate_path(cfg: SimConfig) -> SamplePath:
     """Simulate n_steps reflected Euler steps after the burn-in.
 
-    Fully deterministic given cfg.seed.  The path is a batch of one: the
-    records of `_records` one column wide, stepped by the scalar kernel
-    `_steps`, then finished as `simulate_paths` finishes its paths.  The
-    whole path's draws are taken per channel (normals, then lower uniforms,
-    then upper uniforms), so a path is reproducible only through this
-    function, not by replaying `step`.  The working set is the records:
-    states, signed increments and upper radicand terms while the path
-    steps, then states, both regulators and the times, plus one block of
-    at most _BLOCK steps as Python floats.  A failing step raises its
-    SimulationDivergedError.
+    Fully deterministic given cfg.seed.  The path is `simulate_paths`'s
+    batch of one, which the scalar kernel `_steps` steps.  The whole path's
+    draws are taken per channel (normals, then lower uniforms, then upper
+    uniforms), so a path is reproducible only through this function, not by
+    replaying `step`.  The working set is the records: states, signed
+    increments and upper radicand terms while the path steps, then states,
+    both regulators and the times, plus one block of at most _BLOCK steps
+    as Python floats.  A failing step raises its SimulationDivergedError.
     """
-    path, = _simulate([cfg], _steps)
+    path, = simulate_paths([cfg])
     if isinstance(path, SimulationDivergedError):
         raise path
     return path
@@ -330,17 +335,17 @@ def simulate_path(cfg: SimConfig) -> SamplePath:
 
 def simulate_paths(cfgs) -> list:
     """Simulate paths that share every SimConfig field but the seed, all at
-    once: one vector step per time index across the paths.
+    once, on one record per path.
 
     Returns one entry per config, in order: the SamplePath that
     simulate_path(cfg) returns, bit for bit, or the SimulationDivergedError
     (same message and step_index) that it would raise.  A failing path does
-    not stop the others.  The paths take the records of `simulate_path`,
-    one column each, so each draws from its own stream exactly as
-    simulate_path does; only the kernel differs, `_vector_steps` for
-    `_steps`.  A vector step has a fixed cost of tens of microseconds, so
-    this pays only for many paths per call; a single path belongs to
-    simulate_path.  A batch peaks at three floats per path-step, and the
+    not stop the others.  Each path draws from its own stream, one column
+    of the records each.  A batch of at least _MIN_BATCH paths steps with
+    `_vector_steps`, one vector step per time index across the paths, and a
+    narrower one with `_steps`, path by path: the kernels give the same
+    bits, and a vector step's fixed cost of tens of microseconds pays only
+    for many paths.  A batch peaks at three floats per path-step, and the
     returned paths are read-only column views of its arrays.
     """
     cfgs = list(cfgs)
@@ -349,7 +354,8 @@ def simulate_paths(cfgs) -> list:
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("batched configs may differ only in seed")
-    return _simulate(cfgs, _vector_steps)
+    kernel = _vector_steps if len(cfgs) >= _MIN_BATCH else _steps
+    return _simulate(cfgs, kernel)
 
 
 def _simulate(cfgs: list, kernel) -> list:

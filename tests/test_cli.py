@@ -346,15 +346,24 @@ def test_main_accepts_parsed_runconfig(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats is imported by normality_check alone; loading it at import
-    # time costs every command about a second and 70 MB
+    # scipy is a test dependency only, and importing scipy.stats costs about
+    # a second and 70 MB: neither importing the CLI nor a normality run, which
+    # computes a KS statistic, may load it
     src = str(Path(refsde.__file__).resolve().parents[1])
+    scipy_modules = ("sorted(m for m in sys.modules "
+                     "if m.split('.')[0] == 'scipy')")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, refsde.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print({scipy_modules}, file=sys.stderr); "
+         "rc = refsde.cli.main(['normality', '--case', '2', '--x0', '1.5', "
+         "'--n', '400', '--beta', '0.3', '--reps', '5', '--threads', '1', "
+         "'--seed', '0']); "
+         f"print({scipy_modules}, rc, file=sys.stderr)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.startswith("# seed=0\ncase,x0,n,beta,mean_z")
+    assert proc.stderr.splitlines()[0] == "[]"
+    assert proc.stderr.splitlines()[-1] == "[] 0"
 
 
 def test_module_entrypoint(tmp_path):

@@ -189,8 +189,10 @@ def _smooth(x):
 
 
 def _case3_two_sided_g(x):
-    # the normalizer's integrand for case 3, two-sided, at the default panels
-    return _unnormalized(builtin_drift(3), SIGMA, 0.0, x, 1024)
+    # the uniform normalizer's integrand for case 3, two-sided, with a
+    # 128-panel inner rule: it takes the same seven outer doublings as at
+    # the default 1024 panels, at an eighth of the cost
+    return _unnormalized(builtin_drift(3), SIGMA, 0.0, x, 128)
 
 
 @pytest.mark.parametrize("start", [1024, 1000])
@@ -214,7 +216,7 @@ def test_converged_simpson_evaluates_each_node_once(fn, start):
         levels.append(2 * levels[-1])
     assert levels[-1] == p_final and len(levels) >= 2
     fresh = [_fixed_simpson(fn, 0.0, 3.0, p) for p in levels]
-    agree = [abs(c - p) <= _NORM_RTOL * max(1.0, abs(c))
+    agree = [abs(c - p) <= _NORM_RTOL * abs(c)
              for p, c in zip(fresh, fresh[1:])]
     assert agree[-1] and not any(agree[:-1])
     # the evaluated nodes are exactly the final level's, each once
@@ -298,15 +300,25 @@ _ZS = [(builtin_drift(c), b) for c in (1, 2, 3)
                          ids=[f"{d.name}-{b.mode}" for d, b in _ZS])
 def test_graded_normalizer_matches_uniform_rule(drift, barrier):
     # Both rules integrate the same g (same inner rule) and stop once two
-    # levels differ by at most _NORM_RTOL * max(1, Z).  Simpson's error falls
-    # by at least 2**2.5 per doubling even at a y**1.5 endpoint, so each
-    # rule's error is at most 1e-10 * max(1, Z) / (2**2.5 - 1); with
-    # Z >= 0.0199 here the two differ by at most 2.2e-9 relative, inside
-    # criterion 6's 1e-8.
+    # levels differ by at most _NORM_RTOL * Z.  Simpson's error falls by at
+    # least 2**2.5 per doubling even at a y**1.5 endpoint, so each rule's
+    # error is at most 1e-10 * Z / (2**2.5 - 1), and the two differ by at
+    # most 4.3e-11 relative.
     dens = invariant_density(drift, SIGMA, barrier)
 
     def g(x):
         return _unnormalized(drift, SIGMA, 0.0, x, 1024)
 
     uniform = _converged_simpson(g, 0.0, dens.support_hi, 1024)
-    assert dens.normalizer == pytest.approx(uniform, rel=1e-8, abs=0.0)
+    assert dens.normalizer == pytest.approx(uniform, rel=1e-10, abs=0.0)
+
+
+def test_small_normalizer_is_relatively_accurate():
+    # b = 6 on [0, 3] at sigma 0.2: pi is proportional to exp(-300 x), so
+    # Z = (1 - e**-900) / 300, a boundary layer 1/300 wide.  The inner rule
+    # is exact for a constant drift, and the stop test at 1e-10 * Z leaves
+    # at most 1e-10 / (2**2.5 - 1) relative error (see above); a test
+    # absolute for Z < 1 stops at 1.7e-9.
+    dens = invariant_density(_const_drift(6.0), SIGMA, TWO_SIDED)
+    z = -math.expm1(-900.0) / 300.0
+    assert dens.normalizer == pytest.approx(z, rel=2.2e-11, abs=0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import refsde.experiment as experiment
+import refsde.simulate as sim_module
 from refsde import (
     BarrierConfig,
     DriftSpec,
@@ -134,12 +135,31 @@ def test_run_cell_matches_hand_statistics():
     assert s.rase_stderr == pytest.approx(s.rase_std / math.sqrt(2.0))
 
 
-def test_run_cell_deterministic_and_thread_invariant():
+@pytest.fixture
+def built_pools(monkeypatch):
+    """The keyword arguments of every process pool built from here on."""
+    built = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+def test_run_cell_deterministic_and_thread_invariant(built_pools):
+    # a burn-in that puts the group above the batch budget, so that its six
+    # replications are more than one unit of work and threads=2 builds a pool
     plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
-                          n_replications=6, grid_count=25, base_seed=5)
+                          n_replications=6, grid_count=25, base_seed=5,
+                          burn_in=40_000)
     a = run_cell(plan, 80, 0.3)
     b = run_cell(plan, 80, 0.3)
+    assert built_pools == []
     c = run_cell(plan, 80, 0.3, threads=2)
+    assert len(built_pools) == 1
     assert a == b
     assert a == c
 
@@ -298,13 +318,13 @@ def test_batches_cut_each_group_equally_under_the_budget():
     # 60 paths of 400 or of 1600 steps fit in one batch
     assert sizes[("two_sided", 400)] == [60]
     assert sizes[("one_sided_lower", 1600)] == [60]
-    # five paths of 30 000 steps would pass the budget, and four are below
-    # the crossover: single replications
-    assert sizes[("two_sided", 30_000)] == [1] * 60
-    # a group below the crossover is stepped path by path
+    # five paths of 30 000 steps would pass the budget: batches of four
+    assert sizes[("two_sided", 30_000)] == [4] * 15
+    # a group narrower than the kernel crossover is still one batch
     few = ExperimentPlan(case_id=1, n_list=(400,), beta_list=(0.3,),
-                         n_replications=experiment._MIN_BATCH - 1)
-    assert all(len(b) == 1 for b in experiment._batches(_table_tasks(few)))
+                         n_replications=sim_module._MIN_BATCH - 1)
+    assert [len(b) for b in experiment._batches(_table_tasks(few))] == \
+        [sim_module._MIN_BATCH - 1] * 2  # one batch per barrier mode
 
 
 @pytest.mark.parametrize("estimator_type", ["discrete", "continuous"])
@@ -315,28 +335,19 @@ def test_batched_replications_equal_replications_alone(estimator_type):
     tasks = _table_tasks(plan)
     assert max(map(len, experiment._batches(tasks))) == 26  # two betas
     alone = [experiment._cell_estimate(
-        t, experiment._simulate_one(plan, experiment._task_config(t)))
-        for t in tasks]
+        t, simulate_path(experiment._task_config(t))) for t in tasks]
     assert experiment._map_replications(experiment._cell_estimate, tasks,
                                         None) == alone
     assert experiment._map_replications(experiment._cell_estimate, tasks,
                                         2) == alone
 
 
-def test_run_table_builds_one_pool(monkeypatch):
-    built = []
-
-    class CountingPool(experiment.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+def test_run_table_builds_one_pool(built_pools):
     pooled = run_table(_FOUR_CELLS, threads=2)
-    assert len(built) == 1
+    assert len(built_pools) == 1
     assert len(pooled[0]) == 4
     assert pooled == run_table(_FOUR_CELLS, threads=1)
-    assert len(built) == 1
+    assert len(built_pools) == 1
 
 
 def test_pooled_failure_is_filed_like_serial(monkeypatch):
@@ -354,12 +365,16 @@ def test_pooled_failure_is_filed_like_serial(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [None, 2])
-def test_normality_failure_reports_index(monkeypatch, threads):
+def test_normality_failure_reports_index(monkeypatch, built_pools, threads):
+    # the burn-in puts the four replications in two batches of two, so that
+    # threads=2 runs them in a pool
     monkeypatch.setattr(experiment, "_point_estimate",
                         _point_estimate_failing_once)
     with pytest.raises(ReplicationError,
                        match="^replication 2: RuntimeError: synthetic failure$"):
-        normality_check(2, 1.5, 400, 0.3, 4, 0, threads=threads)
+        normality_check(2, 1.5, 400, 0.3, 4, 0, burn_in=40_000,
+                        threads=threads)
+    assert len(built_pools) == (threads == 2)
 
 
 def test_curve_rows_and_determinism():
@@ -390,6 +405,20 @@ def test_curve_undefined_points_written_empty(tmp_path):
     assert lines[1] == "x,estimate,truth"
     assert len(lines) == 62
     assert lines[2 + missing[0]].split(",")[1] == ""
+
+
+def test_ks_statistic_matches_scipy_kstest():
+    # Phi = 0.5 erfc(-z / sqrt 2) and scipy's ndtr each give the normal cdf,
+    # a value in [0, 1], to within a few units in the last place (2.2e-16
+    # each at 1), and the statistic is one subtraction of such values from
+    # i/N: the two statistics may differ by a few such units
+    from scipy import stats
+    rng = np.random.default_rng(16)
+    for size in rng.integers(1, 1001, 300).tolist():
+        z = rng.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0), size)
+        want = float(stats.kstest(z, "norm").statistic)
+        assert experiment._ks_normal(z) == pytest.approx(want, rel=0.0,
+                                                         abs=1e-15)
 
 
 def test_normality_check_validates_location_and_schedule():

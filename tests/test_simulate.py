@@ -469,15 +469,41 @@ def test_simulate_path_working_set_is_linear():
     assert peak < 7 * n * 8, f"peak {peak / (n * 8):.1f} floats per step"
 
 
-# --- the vector kernel: many same-config paths per step ---------------------
+# --- batches: many same-config paths, through either kernel ----------------
+
+# simulate_paths picks one kernel by the batch's width; the batch tests run
+# each width through both, so that neither goes untested at any width
+_KERNELS = (sim_module._steps, sim_module._vector_steps)
+
+
+@pytest.mark.parametrize("width, kernel", [
+    (sim_module._MIN_BATCH, "_vector_steps"),
+    (sim_module._MIN_BATCH - 1, "_steps"),
+    (1, "_steps"),
+])
+def test_simulate_paths_picks_its_kernel_by_width(monkeypatch, width, kernel):
+    used = []
+    for name in ("_steps", "_vector_steps"):
+        def spy(*args, name=name, real=getattr(sim_module, name)):
+            used.append(name)
+            return real(*args)
+        monkeypatch.setattr(sim_module, name, spy)
+    base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
+                     n_steps=20, delta=0.01)
+    paths = simulate_paths([replace(base, seed=s) for s in range(width)])
+    assert used == [kernel]
+    assert len(paths) == width
+
 
 def _assert_batch_matches_oracle(cfgs):
-    for cfg, p in zip(cfgs, simulate_paths(cfgs), strict=True):
-        x, l_reg, r_reg = _oracle_path(cfg)
-        assert np.array_equal(p.x, x)
-        assert np.array_equal(p.l_reg, l_reg)
-        assert np.array_equal(p.r_reg, r_reg)
-        assert p.seed == cfg.seed
+    for kernel in _KERNELS:
+        paths = sim_module._simulate(cfgs, kernel)
+        for cfg, p in zip(cfgs, paths, strict=True):
+            x, l_reg, r_reg = _oracle_path(cfg)
+            assert np.array_equal(p.x, x)
+            assert np.array_equal(p.l_reg, l_reg)
+            assert np.array_equal(p.r_reg, r_reg)
+            assert p.seed == cfg.seed
 
 
 _BATCH_SEEDS = (0, 7, (4, 2), 11, (3, 1, 4))
@@ -503,26 +529,28 @@ def test_pinned_batch_is_bitwise_the_oracle(drift, mode):
 
 
 def _assert_batch_matches_alone(cfgs):
-    """Each member of the batch is simulate_path's path, or its error;
-    returns the failed members' errors."""
+    """Each member of the batch, through either kernel, is simulate_path's
+    path, or its error; returns the failed members' errors."""
+    alone = []
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = simulate_paths(cfgs)
-    errors = []
-    for cfg, got in zip(cfgs, batch, strict=True):
-        with np.errstate(over="ignore", invalid="ignore"):
+        for cfg in cfgs:
             try:
-                alone = simulate_path(cfg)
+                alone.append(simulate_path(cfg))
             except SimulationDivergedError as e:
-                assert isinstance(got, SimulationDivergedError)
-                assert str(got) == str(e)
-                assert got.step_index == e.step_index
-                errors.append(e)
+                alone.append(e)
+    for kernel in _KERNELS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = sim_module._simulate(cfgs, kernel)
+        for want, got in zip(alone, batch, strict=True):
+            assert type(got) is type(want)
+            if isinstance(want, SimulationDivergedError):
+                assert str(got) == str(want)
+                assert got.step_index == want.step_index
                 continue
-        assert isinstance(got, SamplePath)
-        assert np.array_equal(got.x, alone.x)
-        assert np.array_equal(got.l_reg, alone.l_reg)
-        assert np.array_equal(got.r_reg, alone.r_reg)
-    return errors
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.l_reg, want.l_reg)
+            assert np.array_equal(got.r_reg, want.r_reg)
+    return [e for e in alone if isinstance(e, SimulationDivergedError)]
 
 
 def _explodes_above(level):
@@ -596,11 +624,13 @@ def test_batched_paths_are_read_only(mode):
     base = SimConfig(drift=builtin_drift(1), sigma=0.2,
                      barrier=_BARRIERS[mode], n_steps=50, delta=0.01,
                      burn_in=5)
-    for p in simulate_paths([replace(base, seed=s) for s in _BATCH_SEEDS]):
-        for arr in (p.times, p.x, p.l_reg, p.r_reg):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+    cfgs = [replace(base, seed=s) for s in _BATCH_SEEDS]
+    for kernel in _KERNELS:
+        for p in sim_module._simulate(cfgs, kernel):
+            for arr in (p.times, p.x, p.l_reg, p.r_reg):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
 
 def _reflection_gap_violations(p, thresh):
