@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -73,12 +72,14 @@ def replication_seed(base_seed: int, case_id: int, mode: str, n: int,
 class ExperimentPlan:
     """Configuration shared by all cells of a table run.
 
-    ``barrier_mode`` is a concrete mode or "both", which run_table expands
+    ``barrier_mode`` is a concrete mode or "both", which ``modes`` expands
     into two_sided plus one_sided_lower.  ``estimator_type`` selects the
     observation-grid estimator ("discrete") or the fine-grid one
     ("continuous", step delta/refine).  ``x0 = None`` picks the simulator
     default start; a given x0 must lie in the domain of every mode run.
-    One-sided cells still estimate on [lower, upper].
+    One-sided cells still estimate on [lower, upper].  Building a plan
+    builds the estimation grid and each cell's path config and bandwidth,
+    so a value those reject fails before any replication runs.
     """
 
     case_id: int
@@ -97,31 +98,29 @@ class ExperimentPlan:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        builtin_drift(self.case_id)  # rejects unknown cases
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "beta_list",
                            tuple(float(b) for b in self.beta_list))
-        if self.barrier_mode not in ("two_sided", "one_sided_lower", "both"):
-            raise ValueError(f"unknown barrier_mode {self.barrier_mode!r}")
         if self.estimator_type not in ("discrete", "continuous"):
             raise ValueError(f"unknown estimator_type {self.estimator_type!r}")
-        if self.n_replications <= 0 or self.grid_count <= 0 or self.refine < 1:
-            raise ValueError("n_replications, grid_count and refine must be positive")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
-        if not self.n_list or min(self.n_list) < 2:
-            raise ValueError("n_list entries must be >= 2")
-        if not self.beta_list or not all(0.0 < b < 1.0 for b in self.beta_list):
-            raise ValueError("beta_list entries must lie in (0, 1)")
-        if not 0.0 <= self.lower < self.upper:
-            raise ValueError("need 0 <= lower < upper")
-        if self.x0 is not None:
-            modes = _MODE_INDEX if self.barrier_mode == "both" \
-                else (self.barrier_mode,)
-            if not all(self.barrier_for(m).contains(self.x0) for m in modes):
-                raise ValueError("x0 must lie in the barrier domain")
+        if self.n_replications <= 0:
+            raise ValueError("n_replications must be positive")
+        if not self.n_list or not self.beta_list:
+            raise ValueError("n_list and beta_list must be nonempty")
+        # every other value is checked by the objects a replication builds
+        estimation_grid(self.lower, self.upper, self.grid_count)
+        for mode in self.modes:
+            for n in self.n_list:
+                for beta in self.beta_list:
+                    _check_cell(self, mode, n, beta)
+
+    @property
+    def modes(self) -> tuple[str, ...]:
+        """The barrier modes the plan runs: "both" is two_sided and
+        one_sided_lower."""
+        if self.barrier_mode == "both":
+            return tuple(_MODE_INDEX)
+        return (self.barrier_mode,)
 
     def barrier_for(self, mode: str) -> BarrierConfig:
         if mode == "two_sided":
@@ -191,6 +190,8 @@ def estimation_grid(lower: float, upper: float, count: int) -> np.ndarray:
     """count midpoints of the uniform partition of [lower, upper]."""
     if count <= 0:
         raise ValueError("count must be positive")
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError("grid edges must be finite")
     if not upper > lower:
         raise ValueError("need lower < upper")
     return lower + (np.arange(count) + 0.5) * (upper - lower) / count
@@ -215,6 +216,13 @@ def _sim_config(plan: ExperimentPlan, mode: str, n: int, seed) -> SimConfig:
                      barrier=plan.barrier_for(mode), n_steps=n,
                      delta=delta_of_n(n), x0=plan.x0, seed=seed,
                      burn_in=plan.burn_in)
+
+
+def _check_cell(plan: ExperimentPlan, mode: str, n: int, beta: float) -> None:
+    """Build the objects a replication of the cell uses, so that a value
+    they reject fails here, before any replication runs."""
+    fine_config(_sim_config(plan, mode, n, 0), plan.refine)
+    bandwidth(n, beta)
 
 
 def _estimate(plan: ExperimentPlan, n: int, beta: float, path: SamplePath,
@@ -391,9 +399,7 @@ def run_cell(plan: ExperimentPlan, n: int, beta: float, *,
     reordering; determinism is inherited from the per-replication streams.
     """
     cell_mode = plan.barrier_mode if mode is None else mode
-    if cell_mode not in _MODE_INDEX:
-        raise ValueError(f"run_cell needs a concrete barrier mode, got {cell_mode!r}")
-    bandwidth(n, beta)  # rejects a bad n or beta before any replication runs
+    _check_cell(plan, cell_mode, n, beta)
     tasks = _cell_tasks(plan, cell_mode, n, beta)
     return _summary(plan, cell_mode, n, beta,
                     _map_replications(_cell_estimate, tasks, threads))
@@ -407,12 +413,8 @@ def run_table(plan: ExperimentPlan, *, threads: int | None = None):
     table.  A cell whose replications hold a failure, or whose summary
     raises, becomes a CellFailure entry; the other cells are still reported.
     """
-    if plan.barrier_mode == "both":
-        modes = ("two_sided", "one_sided_lower")
-    else:
-        modes = (plan.barrier_mode,)
     cells = [(n, beta, m) for n in plan.n_list for beta in plan.beta_list
-             for m in modes]
+             for m in plan.modes]
     tasks = [t for n, beta, m in cells for t in _cell_tasks(plan, m, n, beta)]
     results = _map_replications(_cell_estimate, tasks, threads)
     reps = plan.n_replications
@@ -437,8 +439,7 @@ def curve(plan: ExperimentPlan, n: int, beta: float, seed: int):
     with any run_cell replication.
     """
     cell_mode = plan.barrier_mode
-    if cell_mode not in _MODE_INDEX:
-        raise ValueError(f"curve needs a concrete barrier mode, got {cell_mode!r}")
+    plan.barrier_for(cell_mode)  # rejects "both" before replication_seed
     grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
     key = replication_seed(seed, plan.case_id, cell_mode, n, beta, 0)
     cfg = _sim_config(plan, cell_mode, int(n), key)
@@ -469,16 +470,15 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     """
     h = bandwidth(n, beta)
     delta = delta_of_n(n)
-    if mode not in _MODE_INDEX:
-        raise ValueError(f"unknown barrier mode {mode!r}")
     interior = (x0 - lower) > h and (mode != "two_sided" or (upper - x0) > h)
     if not interior:
         raise ValueError("x0 must be more than one bandwidth away from each barrier")
-    sched = Schedule(n=int(n), delta=delta, h=h, epsilon=epsilon, mode="normality")
+    sched = Schedule(n=int(n), delta=delta, h=h, epsilon=epsilon)
     warnings = validate_schedule(sched, "discrete_normality")
     if warnings:
         raise ValueError("schedule fails rate conditions: " + "; ".join(warnings))
     plan = ExperimentPlan(case_id=case_id, barrier_mode=mode, sigma=sigma,
+                          n_list=(n,), beta_list=(beta,),
                           n_replications=n_replications,
                           estimator_type=estimator_type, base_seed=base_seed,
                           refine=refine, lower=lower, upper=upper,

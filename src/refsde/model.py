@@ -199,21 +199,18 @@ def builtin_drift(case_id: int) -> DriftSpec:
 @dataclass(frozen=True)
 class Schedule:
     """A concrete (n, delta, h) observation schedule plus the epsilon used in
-    the rate conditions.  ``mode`` records what the schedule is meant for."""
+    the rate conditions."""
 
     n: int
     delta: float
     h: float
     epsilon: float
-    mode: Literal["consistency", "normality"] = "consistency"
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.delta <= 0 or self.h <= 0 or self.epsilon <= 0:
             raise ValueError("schedule fields must be strictly positive")
         if not self.epsilon < 0.5:
             raise ValueError("epsilon must be < 1/2")
-        if self.mode not in ("consistency", "normality"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
 
 
 # (label, exponent fn of (gamma, beta, eps), wants_growth)

@@ -69,6 +69,14 @@ def path_csv(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def one_sided_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("path") / "p1.csv"
+    assert main(["simulate", "--case", "2", "--n", "300", "--seed", "5",
+                 "--mode", "one-sided", "--out", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(_SIM + ["--delta", "-0.1"], id="simulate-delta"),
     pytest.param(_SIM + ["--refine", "0"], id="simulate-refine"),
@@ -86,6 +94,13 @@ def path_csv(tmp_path_factory):
                  id="estimate-grid-order"),
     pytest.param(_EST + ["--grid-min", "-1"], id="estimate-grid-min"),
     pytest.param(_EST + ["--grid-max", "4"], id="estimate-grid-max"),
+    pytest.param(_DENS + ["--case", "3", "--mode", "one-sided", "--upper",
+                          "inf"], id="density-one-sided-upper-inf"),
+    pytest.param(["estimate", "--in", "{one_sided}", "--grid-count", "10",
+                  "--mode", "one-sided", "--grid-max", "inf"],
+                 id="estimate-one-sided-grid-max-inf"),
+    pytest.param(_EXP + ["--mode", "one-sided", "--upper", "inf"],
+                 id="experiment-one-sided-upper-inf"),
     pytest.param(["estimate", "--in", "{bad_path}", "--grid-count", "10"],
                  id="estimate-in-non-numeric"),
     pytest.param(_EXP + ["--threads", "0"], id="experiment-threads"),
@@ -101,14 +116,15 @@ def path_csv(tmp_path_factory):
     pytest.param(_NORM + ["--type", "x"], id="normality-type"),
     pytest.param(_NORM + ["--epsilon", "0.7"], id="normality-epsilon"),
 ])
-def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv, capsys):
+def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
+                                          one_sided_csv, capsys):
     threads0 = tmp_path / "threads0.cfg"
     threads0.write_text("threads = 0\n")
     bad_path = tmp_path / "bad.csv"
     bad_path.write_text("# seed=0\nt,x,l_reg,r_reg\n0,1.5,0,0\n0.01,1.5x,0,0\n")
     out = tmp_path / "x.csv"
-    argv = [a.format(path=path_csv, threads0=threads0, bad_path=bad_path)
-            for a in argv]
+    argv = [a.format(path=path_csv, one_sided=one_sided_csv,
+                     threads0=threads0, bad_path=bad_path) for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err

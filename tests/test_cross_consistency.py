@@ -2,13 +2,17 @@
 to the estimators' consistency.
 
 The first two compare a long path's time average and occupation histogram
-with the closed-form density.  The last two check that the discrete-type and
-continuous-type estimators are consistent: their typical error at a point the
-simulated path occupies falls as the sample grows along the schedule.  They
-encode the stationarity and consistency properties the estimation theory
-rests on, so they are kept together here rather than inside the per-module
-suites.
+with the closed-form density.  The regulator checks pin the law the
+simulator samples through the regulators' long-run rates alone, and check
+the same identity on the closed-form density.  The last two check that the
+discrete-type and continuous-type estimators are consistent: their typical
+error at a point the simulated path occupies falls as the sample grows along
+the schedule.  They encode the stationarity and consistency properties the
+estimation theory rests on, so they are kept together here rather than inside
+the per-module suites.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from scipy.integrate import quad
 
 from refsde import (
     BarrierConfig,
+    DriftSpec,
     SimConfig,
     bandwidth,
     builtin_drift,
@@ -60,6 +65,93 @@ def test_occupation_histogram_matches_density(long_path, case2_density):
                       for a, b in zip(edges[:-1], edges[1:])])
     tv = 0.5 * float(np.abs(emp - model).sum())
     assert tv < 0.05
+
+
+# The regulators' long-run rates ell = L_T / T and r = R_T / T.  Ito's formula
+# on f(x) = x, with the drift frozen over each step as the scheme freezes it,
+# gives
+#     (1/T) sum_k b(X_k) Delta = r - ell + (X_T - X_0) / T - sigma W_T / T,
+# so a path's mean drift and r - ell differ by at most (u - l) / T plus an
+# N(0, sigma^2 / T) term, taken here at z = 4.  For a stationary law pi,
+# ell = (sigma^2 / 2) pi(l) and r = (sigma^2 / 2) pi(u) (the basic adjoint
+# relationship; Harrison & Williams, Ann. Probab. 1987).
+_T = 1e4
+_RATE_BAND = 4.0 * 0.2 / math.sqrt(_T) + 3.0 / _T
+
+# b = -1 as a float in, float out function: the scalar steps stay cheap
+MINUS_ONE = DriftSpec("minus_one", lambda x: 0.0 * x - 1.0)
+
+
+@pytest.fixture(scope="module")
+def constant_drift_path():
+    cfg = SimConfig(drift=MINUS_ONE, sigma=0.2, barrier=TWO_SIDED,
+                    n_steps=1_000_000, delta=0.01, seed=2026)
+    return simulate_path(cfg)
+
+
+def _rates(path):
+    t = path.times[-1]
+    assert t == pytest.approx(_T)
+    return float(path.l_reg[-1]) / t, float(path.r_reg[-1]) / t
+
+
+def _plus_b_rates(drift, sigma, lower, upper):
+    """(sigma^2 / 2) pi_+ at each barrier, where pi_+ is proportional to
+    exp(+(2 / sigma^2) int_l^x b), the stationary law of the drift +b."""
+    c = 2.0 / sigma ** 2
+
+    def log_weight(x):  # log of pi_+ up to the normalizer
+        return c * quad(drift, lower, x, epsabs=0.0, epsrel=1e-13)[0]
+
+    # both drifts here are monotone, so the weight peaks at a barrier
+    peak = max(log_weight(lower), log_weight(upper))
+    z, _ = quad(lambda x: math.exp(log_weight(x) - peak), lower, upper,
+                limit=200, epsabs=0.0, epsrel=1e-12,
+                points=[lower + 1e-3, upper - 1e-3])
+    half = 0.5 * sigma ** 2
+    return tuple(half * math.exp(log_weight(x) - peak) / z
+                 for x in (lower, upper))
+
+
+_PATHS = [("long_path", builtin_drift(2)),
+          ("constant_drift_path", MINUS_ONE)]
+
+
+@pytest.mark.parametrize("fixture, drift", _PATHS, ids=["case2", "minus_one"])
+def test_regulator_rates_match_the_mean_drift(request, fixture, drift):
+    path = request.getfixturevalue(fixture)
+    ell, r = _rates(path)
+    mean_b = float(np.mean(drift(path.x[:-1])))
+    assert abs((r - ell) - mean_b) < _RATE_BAND, (ell, r, mean_b)
+
+
+@pytest.mark.parametrize("fixture, drift", _PATHS, ids=["case2", "minus_one"])
+def test_regulator_rates_match_the_plus_b_law(request, fixture, drift):
+    # For b = -1 the mean drift is exactly -1 = E_pi[b].  Case 2's +b law
+    # holds its mass in a layer about sigma^2 / (2 b(u)) = 0.006 wide at u,
+    # where b moves by less than 0.006, so b(X)'s time average over T is far
+    # closer to E_pi[b] than sigma / sqrt(T).  Either way each rate meets
+    # its barrier's (sigma^2 / 2) pi_+ within _RATE_BAND.
+    path = request.getfixturevalue(fixture)
+    ell, r = _rates(path)
+    want_ell, want_r = _plus_b_rates(drift, 0.2, 0.0, 3.0)
+    assert abs(ell - want_ell) < _RATE_BAND, (ell, want_ell)
+    assert abs(r - want_r) < _RATE_BAND, (r, want_r)
+
+
+# The density's stated accuracy: criterion 6's 1e-8 for the smooth drifts;
+# for case 3, bench/spec.json's quad_spot 1e-5, since the 1024-panel inner
+# rule is off by up to 4e-6 relative at sqrt(x)'s endpoint.
+@pytest.mark.parametrize("case_id, rel", [(1, 1e-8), (2, 1e-8), (3, 1e-5)])
+def test_density_satisfies_the_regulator_identity(case_id, rel):
+    # invariant_density is the law of the drift -b, for which
+    # E_pi[-b] = r - ell, i.e. int b pi = (sigma^2 / 2) (pi(l) - pi(u))
+    drift = builtin_drift(case_id)
+    dens = invariant_density(drift, 0.2, TWO_SIDED)
+    lhs, _ = quad(lambda x: float(drift(x)) * float(pi_eval(dens, x)),
+                  0.0, 3.0, limit=200, epsabs=0.0, epsrel=1e-13)
+    rhs = 0.02 * (float(pi_eval(dens, 0.0)) - float(pi_eval(dens, 3.0)))
+    assert lhs == pytest.approx(rhs, rel=rel, abs=0.0)
 
 
 # Once the start transient from the default start 1.5 is over, case 2 at

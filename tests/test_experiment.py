@@ -96,6 +96,13 @@ def test_replication_seed_layout():
     dict(case_id=1, n_replications=0),
     dict(case_id=1, refine=0),
     dict(case_id=1, lower=2.0, upper=1.0),
+    # values that only the objects a cell builds reject
+    dict(case_id=1, sigma=-1.0),
+    dict(case_id=1, burn_in=-1),
+    dict(case_id=1, grid_count=0),
+    dict(case_id=1, barrier_mode="both", x0=3.5),
+    dict(case_id=1, estimator_type="continuous", refine=1.5),
+    dict(case_id=1, barrier_mode="one_sided_lower", upper=math.inf),
 ])
 def test_plan_validation(kwargs):
     with pytest.raises(ValueError):
@@ -428,6 +435,16 @@ def test_normality_check_validates_location_and_schedule():
         normality_check(2, 2.9, 400, 0.3, 5, 0)   # within h of upper barrier
     with pytest.raises(ValueError, match="rate"):
         normality_check(2, 1.5, 400, 0.45, 5, 0)  # nhΔ shrinks at this beta
+
+
+@pytest.mark.parametrize("mode", ["both", "sideways"])
+def test_normality_check_needs_concrete_mode_before_work(monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr(experiment, "_map_replications",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        normality_check(2, 1.5, 400, 0.3, 5, 0, mode=mode)
+    assert calls == []
 
 
 def test_normality_report_fields_and_dropped_counter(monkeypatch):

@@ -204,17 +204,15 @@ def test_schedule_field_validation():
         Schedule(n=100, delta=-0.1, h=0.1, epsilon=0.01)
     with pytest.raises(ValueError):
         Schedule(n=100, delta=0.1, h=0.1, epsilon=0.5)
-    with pytest.raises(ValueError):
-        Schedule(n=100, delta=0.1, h=0.1, epsilon=0.01, mode="annealed")
 
 
-def _power_schedule(n, gamma, beta, eps=0.01, mode="consistency"):
+def _power_schedule(n, gamma, beta, eps=0.01):
     return Schedule(n=n, delta=float(n) ** -gamma, h=float(n) ** -beta,
-                    epsilon=eps, mode=mode)
+                    epsilon=eps)
 
 
 def test_validate_schedule_table_rates_are_clean():
-    s = _power_schedule(900, 2.0 / 3.0, 0.3, mode="normality")
+    s = _power_schedule(900, 2.0 / 3.0, 0.3)
     assert validate_schedule(s, "discrete_normality") == []
 
 
