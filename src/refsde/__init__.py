@@ -15,6 +15,6 @@ from .model import (BarrierConfig, DriftSpec, KernelSpec, SamplePath, Schedule,
                     builtin_drift, epanechnikov, validate_schedule)
 from .simulate import (SimConfig, SimulationDivergedError, read_path_csv,
                        sample_sup_with_drift, simulate_fine, simulate_path,
-                       simulate_paths, step, stream_rng, write_path_csv)
+                       simulate_paths, stream_rng, write_path_csv)
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ command line's flags, so the command line wins and argparse converts and
 checks both alike.  Unknown config keys are usage errors.  Exit codes: 0
 success, 1 runtime failure (partially written outputs are removed), 2 usage
 error.  `parse` checks only the command shape (flags, keys, types, required
-flags, the mode names, `estimate`'s type and kernel names, `--threads >= 1`).
+flags, the mode names, `estimate`'s type names, `--threads >= 1`).
 Every other value is checked once, by the library object or function that
 uses it; the runners build these before the simulation or quadrature starts,
 and `main` reports their ValueError as a usage error too.
@@ -88,7 +88,6 @@ _FLAGS = {
     "grid": (int, "number of evaluation points"),
     "h": (float, "kernel bandwidth (state units)"),
     "quad_panels": (int, "Simpson panels per integral"),
-    "kernel": (str, "kernel name"),
     "type": (str, "estimator type: discrete or continuous"),
     "grid_min": (float, "grid lower edge (default: lower)"),
     "grid_max": (float, "grid upper edge (default: upper)"),
@@ -117,7 +116,6 @@ _SPECS: dict[str, dict] = {
     "density": {"case": _REQUIRED, **_MODEL, "grid": 300, "h": 0.1,
                 "quad_panels": 1024, "seed": 0, "out": _REQUIRED},
     "estimate": {"in_path": _REQUIRED, **_MODEL, "h": 0.1,
-                 "kernel": ("epanechnikov",),
                  "type": ("discrete", "continuous"), "grid_min": None,
                  "grid_max": None, "grid_count": 300, "out": _REQUIRED},
     "experiment": {"case": _REQUIRED, **_MODEL,

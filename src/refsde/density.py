@@ -163,8 +163,8 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     would thin the nodes at the upper barrier, where b = -1 piles the mass:
     it needs 32768 panels there, against 4096 for this map.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if quad_panels < 1:
         raise ValueError("quad_panels must be positive")
     lower = barrier.lower

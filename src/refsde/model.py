@@ -14,6 +14,7 @@ Everything here is an immutable value type shared by the other modules.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -84,6 +85,12 @@ class BarrierConfig:
     def one_sided(cls, lower: float) -> "BarrierConfig":
         return cls(lower=lower, upper=None, mode="one_sided_lower")
 
+    @property
+    def top(self) -> float:
+        """The largest state of the domain: the upper barrier, or one-sided
+        the largest float, so that +inf lies outside."""
+        return self.upper if self.mode == "two_sided" else sys.float_info.max
+
     def contains(self, x) -> bool:
         """True when every value of x lies in the barrier domain."""
         arr = np.asarray(x)
@@ -91,7 +98,7 @@ class BarrierConfig:
         # scalar's comparison
         if not (arr >= self.lower).all():
             return False
-        return self.mode == "one_sided_lower" or bool((arr <= self.upper).all())
+        return bool((arr <= self.top).all())
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,10 @@ class SamplePath:
     barrier: BarrierConfig
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         n = self.x.shape[0]
         for name in ("times", "x", "l_reg", "r_reg"):
             arr = getattr(self, name)
@@ -160,8 +167,8 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
 
 def epanechnikov(bandwidth: float) -> KernelSpec:

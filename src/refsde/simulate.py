@@ -21,9 +21,8 @@ step overwrites, so the records hold three floats per path-step.  Two
 kernels step them, with the same float operations in the same order, so
 each path is bitwise the same whichever steps it:
 
-- the scalar kernel, `_steps`: one column at a time, one block of Python
-  floats at a time, through the float loop `_float_steps` that `step` also
-  runs;
+- the scalar kernel, `_steps`, the one float loop: one column at a time,
+  one block of Python floats at a time;
 - the vector kernel, `_vector_steps`: one drift call and one pass of array
   arithmetic per time index across all the columns.
 
@@ -35,7 +34,6 @@ finish for both.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -51,7 +49,6 @@ __all__ = [
     "simulate_fine",
     "simulate_path",
     "simulate_paths",
-    "step",
     "stream_rng",
     "write_csv",
     "write_path_csv",
@@ -116,10 +113,10 @@ class SimConfig:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if self.n_steps < 0 or self.burn_in < 0:
             raise ValueError("n_steps and burn_in must be nonnegative")
         if self.x0 is not None and not self.barrier.contains(self.x0):
@@ -211,75 +208,60 @@ def _draws(cfg: SimConfig, rng: np.random.Generator, s, q_lo, q_hi) -> None:
 
 
 def _steps(cfg: SimConfig, x, g, qh) -> dict:
-    """The scalar kernel: `_float_steps` down each column of the records of
-    `_records` alone, one block of at most _BLOCK steps at a time.
+    """The scalar kernel, the one reflected Euler float loop: down each
+    column of the records of `_records` alone, one block of at most _BLOCK
+    steps at a time.
 
     Each block's slots become Python floats, and the block's states and
-    signed increments are written back in their place.  Returns {column:
-    SimulationDivergedError} for the paths that failed, with the index of
-    the failing step; a failed column's records mean nothing.
+    signed increments dR - dL are written back in their place.  Exactly one
+    of dL, dR can be nonzero: the lower barrier is handled first and, if it
+    fired, the upper sample is skipped (both barriers in one step is an
+    o(delta) event).  Returns {column: SimulationDivergedError} for the
+    paths that failed, with the index of the failing step; a failed
+    column's records mean nothing.
     """
+    drift_fn = cfg.drift.fn
+    delta = cfg.delta
+    lower, upper, hi = cfg.barrier.lower, cfg.barrier.upper, cfg.barrier.top
+    sqrt = math.sqrt
     total = x.shape[0] - 1
     errors: dict = {}
     for j in range(x.shape[1]):
         state = float(x[0, j])
         for a in range(0, total, _BLOCK):
             b = min(a + _BLOCK, total)
+            q_lo = g[a + 1:b + 1, j].tolist()
+            # one-sided mode never reads q_hi; q_lo only fills the zip
+            q_hi = q_lo if qh is None else qh[a:b, j].tolist()
             xs, incs = [], []
+            add_x, add_inc = xs.append, incs.append
             try:
-                state = _float_steps(
-                    cfg, state, x[a + 1:b + 1, j].tolist(),
-                    g[a + 1:b + 1, j].tolist(),
-                    None if qh is None else qh[a:b, j].tolist(), xs, incs)
+                for s_k, ql, qu in zip(x[a + 1:b + 1, j].tolist(), q_lo, q_hi):
+                    d = float(drift_fn(state)) * delta + s_k
+                    y = state + d
+                    dl = 0.5 * (-d + sqrt(d * d - ql)) - (state - lower)
+                    if dl > 0.0:
+                        inc = -dl
+                        nxt = y + dl
+                    else:
+                        inc = 0.0
+                        nxt = y
+                        if upper is not None:
+                            dr = 0.5 * (d + sqrt(d * d - qu)) + (state - upper)
+                            if dr > 0.0:
+                                inc = dr
+                                nxt = y - dr
+                    if not lower <= nxt <= hi:
+                        nxt = _settle(nxt, lower, hi)
+                    add_x(nxt)
+                    add_inc(inc)
+                    state = nxt
             except SimulationDivergedError as e:
                 errors[j] = SimulationDivergedError(str(e), step_index=a + len(xs))
                 break
             x[a + 1:b + 1, j] = xs
             g[a + 1:b + 1, j] = incs
     return errors
-
-
-def _float_steps(cfg: SimConfig, state: float, s, q_lo, q_hi, xs, incs) -> float:
-    """The reflected Euler float loop: one step per entry of the lists s,
-    q_lo and q_hi (scaled normals and radicand terms, q_hi None one-sided).
-
-    Appends each next state and signed increment dR - dL to the lists xs
-    and incs and returns the last state; a failing step raises
-    SimulationDivergedError after len(xs) completed steps.  Exactly one of
-    dL, dR can be nonzero: the lower barrier is handled first and, if it
-    fired, the upper sample is skipped (both barriers in one step is an
-    o(delta) event).
-    """
-    drift_fn = cfg.drift.fn
-    delta = cfg.delta
-    lower = cfg.barrier.lower
-    upper = cfg.barrier.upper if q_hi is not None else None
-    # one-sided: the largest float, so +inf still fails the domain check
-    hi = upper if upper is not None else sys.float_info.max
-    sqrt = math.sqrt
-    add_x, add_inc = xs.append, incs.append
-    # one-sided mode never reads qh; q_lo only fills the zip
-    for s_k, ql, qh in zip(s, q_lo, q_lo if q_hi is None else q_hi):
-        d = float(drift_fn(state)) * delta + s_k
-        y = state + d
-        dl = 0.5 * (-d + sqrt(d * d - ql)) - (state - lower)
-        if dl > 0.0:
-            inc = -dl
-            nxt = y + dl
-        else:
-            inc = 0.0
-            nxt = y
-            if upper is not None:
-                dr = 0.5 * (d + sqrt(d * d - qh)) + (state - upper)
-                if dr > 0.0:
-                    inc = dr
-                    nxt = y - dr
-        if not lower <= nxt <= hi:
-            nxt = _settle(nxt, lower, hi)
-        add_x(nxt)
-        add_inc(inc)
-        state = nxt
-    return state
 
 
 def _settle(nxt: float, lower: float, hi: float) -> float:
@@ -295,37 +277,17 @@ def _settle(nxt: float, lower: float, hi: float) -> float:
     return hi
 
 
-def step(state: float, cfg: SimConfig, rng: np.random.Generator):
-    """One public Euler step; returns (next_state, dL, dR).
-
-    Consumes one normal and one uniform from ``rng`` (two uniforms in
-    two-sided mode; the upper-barrier uniform is drawn unconditionally for
-    stream regularity and discarded when the lower barrier fired).
-    """
-    if not cfg.barrier.contains(state):
-        raise ValueError("state must lie in the barrier domain")
-    s, q_lo = np.empty(1), np.empty(1)
-    q_hi = np.empty(1) if cfg.barrier.mode == "two_sided" else None
-    _draws(cfg, rng, s, q_lo, q_hi)
-    xs, incs = [], []
-    _float_steps(cfg, float(state), s.tolist(), q_lo.tolist(),
-                 None if q_hi is None else q_hi.tolist(), xs, incs)
-    inc = incs[0]
-    # an unfired barrier gives +0.0, where -inc or max(-inc, 0.0) gives -0.0
-    return xs[0], (-inc if inc < 0.0 else 0.0), (inc if inc > 0.0 else 0.0)
-
-
 def simulate_path(cfg: SimConfig) -> SamplePath:
     """Simulate n_steps reflected Euler steps after the burn-in.
 
     Fully deterministic given cfg.seed.  The path is `simulate_paths`'s
     batch of one, which the scalar kernel `_steps` steps.  The whole path's
     draws are taken per channel (normals, then lower uniforms, then upper
-    uniforms), so a path is reproducible only through this function, not by
-    replaying `step`.  The working set is the records: states, signed
-    increments and upper radicand terms while the path steps, then states,
-    both regulators and the times, plus one block of at most _BLOCK steps
-    as Python floats.  A failing step raises its SimulationDivergedError.
+    uniforms), not step by step.  The working set is the records: states,
+    signed increments and upper radicand terms while the path steps, then
+    states, both regulators and the times, plus one block of at most _BLOCK
+    steps as Python floats.  A failing step raises its
+    SimulationDivergedError.
     """
     path, = simulate_paths([cfg])
     if isinstance(path, SimulationDivergedError):
@@ -390,8 +352,8 @@ def _simulate(cfgs: list, kernel) -> list:
 
 
 def _vector_steps(cfg: SimConfig, x, g, qh) -> dict:
-    """The vector kernel: the float loop of `_float_steps`, one vector step
-    per time index across the R columns of the records of `_records`.
+    """The vector kernel: the float loop of `_steps`, one vector step per
+    time index across the R columns of the records of `_records`.
 
     x and g are (steps + 1, R); qh is (steps, R) two-sided and None
     one-sided.  Starting from the states in x[0], step k reads its scaled
@@ -407,9 +369,8 @@ def _vector_steps(cfg: SimConfig, x, g, qh) -> dict:
     drift_fn = cfg.drift.fn
     delta = cfg.delta
     lower = cfg.barrier.lower
+    hi = cfg.barrier.top
     two_sided = qh is not None
-    # one-sided: the largest float, so +inf still fails the domain check
-    hi = cfg.barrier.upper if two_sided else sys.float_info.max
     rows = 2 if two_sided else 1
     width = x.shape[1]
     # m: the bridge maxima, then the (dL, dR) candidates.  gap = (state -

@@ -115,6 +115,16 @@ def one_sided_csv(tmp_path_factory):
     pytest.param(_NORM + ["--quad-panels", "0"], id="normality-quad-panels"),
     pytest.param(_NORM + ["--type", "x"], id="normality-type"),
     pytest.param(_NORM + ["--epsilon", "0.7"], id="normality-epsilon"),
+    pytest.param(_SIM + ["--sigma", "inf"], id="simulate-sigma-inf"),
+    pytest.param(_SIM + ["--delta", "inf"], id="simulate-delta-inf"),
+    pytest.param(_SIM + ["--mode", "one-sided", "--x0", "inf"],
+                 id="simulate-one-sided-x0-inf"),
+    pytest.param(_DENS + ["--sigma", "inf"], id="density-sigma-inf"),
+    pytest.param(_DENS + ["--h", "inf"], id="density-h-inf"),
+    pytest.param(_EST + ["--h", "inf"], id="estimate-h-inf"),
+    pytest.param(_EST + ["--sigma", "inf"], id="estimate-sigma-inf"),
+    pytest.param(_EXP + ["--sigma", "inf"], id="experiment-sigma-inf"),
+    pytest.param(_NORM + ["--sigma", "inf"], id="normality-sigma-inf"),
 ])
 def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
                                           one_sided_csv, capsys):
@@ -214,8 +224,8 @@ _THREADS = os.cpu_count() or 1
       "out": "d.csv"}, "d.csv", 0),
     (["estimate", "--in", "p.csv", "--out", "e.csv"], None,
      {"in_path": "p.csv", "sigma": 0.2, "mode": "two_sided", "lower": 0.0,
-      "upper": 3.0, "h": 0.1, "kernel": "epanechnikov", "type": "discrete",
-      "grid_min": None, "grid_max": None, "grid_count": 300, "out": "e.csv"},
+      "upper": 3.0, "h": 0.1, "type": "discrete", "grid_min": None,
+      "grid_max": None, "grid_count": 300, "out": "e.csv"},
      "e.csv", None),
     (["experiment", "--case", "1", "--out", "t.csv"], None,
      {"case": 1, "mode": "both", "sigma": 0.2, "n_list": (400, 900, 1600),
@@ -240,9 +250,9 @@ _THREADS = os.cpu_count() or 1
     (["estimate", "--config", "{cfg}", "--h", "0.2", "--out", "e.csv"],
      "in = p.csv\nmode = one-sided\ngrid-min = 0.5\nh = 0.3\n",
      {"in_path": "p.csv", "sigma": 0.2, "mode": "one_sided_lower",
-      "lower": 0.0, "upper": 3.0, "h": 0.2, "kernel": "epanechnikov",
-      "type": "discrete", "grid_min": 0.5, "grid_max": None,
-      "grid_count": 300, "out": "e.csv"}, "e.csv", None),
+      "lower": 0.0, "upper": 3.0, "h": 0.2, "type": "discrete",
+      "grid_min": 0.5, "grid_max": None, "grid_count": 300, "out": "e.csv"},
+     "e.csv", None),
 ])
 def test_parse_values_are_pinned(argv, cfg, params, out, seed, tmp_path):
     cfgfile = tmp_path / "run.cfg"

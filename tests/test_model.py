@@ -99,6 +99,7 @@ def test_barrier_one_sided_contains():
     assert b.mode == "one_sided_lower"
     assert b.contains(1e9)
     assert not b.contains(0.49)
+    assert not b.contains(math.inf)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -119,6 +120,8 @@ def test_kernel_requires_positive_bandwidth():
         epanechnikov(0.0)
     with pytest.raises(ValueError):
         epanechnikov(-0.2)
+    with pytest.raises(ValueError):
+        epanechnikov(math.inf)
 
 
 def test_epanechnikov_point_values():

@@ -23,7 +23,6 @@ from refsde import (
     simulate_fine,
     simulate_path,
     simulate_paths,
-    step,
     stream_rng,
     write_path_csv,
 )
@@ -105,40 +104,30 @@ def _cfg(**kw):
 
 
 def test_step_sigma_zero_interior():
-    nxt, dl, dr = step(2.9, _cfg(), stream_rng(0))
-    assert nxt == pytest.approx(2.95)
-    assert dl == 0.0 and dr == 0.0
+    p = simulate_path(_cfg(x0=2.9))
+    assert p.x[1] == pytest.approx(2.95)
+    assert p.l_reg[1] == 0.0 and p.r_reg[1] == 0.0
 
 
 def test_step_sigma_zero_upper_reflection():
-    nxt, dl, dr = step(2.98, _cfg(), stream_rng(0))
-    assert nxt == pytest.approx(3.0)
-    assert dl == 0.0
-    assert dr == pytest.approx(0.03)
+    p = simulate_path(_cfg(x0=2.98))
+    assert p.x[1] == pytest.approx(3.0)
+    assert p.l_reg[1] == 0.0
+    assert p.r_reg[1] == pytest.approx(0.03)
 
 
 def test_step_sigma_zero_lower_reflection_one_sided():
-    cfg = _cfg(drift=_const_drift(-1.0), barrier=BarrierConfig.one_sided(0.0))
-    nxt, dl, dr = step(0.02, cfg, stream_rng(0))
-    assert nxt == pytest.approx(0.0, abs=1e-15)
-    assert nxt >= 0.0
-    assert dl == pytest.approx(0.03)
-    assert dr == 0.0
+    p = simulate_path(_cfg(drift=_const_drift(-1.0), x0=0.02,
+                           barrier=BarrierConfig.one_sided(0.0)))
+    assert p.x[1] == pytest.approx(0.0, abs=1e-15)
+    assert p.x[1] >= 0.0
+    assert p.l_reg[1] == pytest.approx(0.03)
+    assert p.r_reg[1] == 0.0
 
 
 def test_step_rejects_state_outside_domain():
-    with pytest.raises(ValueError):
-        step(3.2, _cfg(), stream_rng(0))
-
-
-def test_step_at_most_one_regulator_fires():
-    cfg = _cfg(sigma=0.4, delta=0.01, drift=builtin_drift(1))
-    rng = stream_rng(99)
-    state = 0.05
-    for _ in range(2000):
-        state, dl, dr = step(state, cfg, rng)
-        assert not (dl > 0.0 and dr > 0.0)
-        assert dl >= 0.0 and dr >= 0.0
+    with pytest.raises(ValueError, match="x0 must lie in the barrier domain"):
+        _cfg(x0=3.2)
 
 
 # --- whole paths --------------------------------------------------------------
@@ -282,18 +271,6 @@ def _oracle_advance(state, b_x, sigma, delta, lower, upper, w, u_lo, u_hi):
     return nxt, dl, dr
 
 
-def _oracle_step(state, cfg, rng):
-    w = rng.standard_normal() * math.sqrt(cfg.delta)
-    u_lo = 1.0 - rng.random()
-    two_sided = cfg.barrier.mode == "two_sided"
-    u_hi = 1.0 - rng.random() if two_sided else 1.0
-    b_x = float(cfg.drift.fn(state))
-    return _oracle_advance(float(state), b_x, cfg.sigma, cfg.delta,
-                           cfg.barrier.lower,
-                           cfg.barrier.upper if two_sided else None,
-                           float(w), u_lo, u_hi)
-
-
 def _oracle_path(cfg):
     """(x, l_reg, r_reg) of the pre-kernel `simulate_path`."""
     total = cfg.burn_in + cfg.n_steps
@@ -341,6 +318,7 @@ def _assert_matches_oracle(cfg):
     assert np.array_equal(p.x, x)
     assert np.array_equal(p.l_reg, l_reg)
     assert np.array_equal(p.r_reg, r_reg)
+    return p
 
 
 _BARRIERS = {"two_sided": TWO_SIDED, "one_sided": BarrierConfig.one_sided(0.0)}
@@ -380,46 +358,19 @@ def test_pinned_path_is_bitwise_the_oracle(drift, mode):
 
 @pytest.mark.parametrize("mode", sorted(_BARRIERS))
 def test_step_is_bitwise_the_oracle_step(mode):
-    # large noise so both barriers fire from the states near them
-    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=_BARRIERS[mode],
-                    n_steps=1, delta=0.05, seed=0)
+    # short paths from states across the domain, with noise large enough
+    # that both barriers fire from the states near them; a path's first step
+    # takes the same draws from its stream as a lone step would
     fired_l = fired_r = 0
     for seed, state in enumerate(np.linspace(0.0, 3.0, 61).tolist()):
-        rng, oracle_rng = stream_rng(seed), stream_rng(seed)
-        for _ in range(5):  # a chain checks the stream is consumed alike
-            got = step(state, cfg, rng)
-            want = _oracle_step(state, cfg, oracle_rng)
-            assert got == want
-            assert all(type(v) is float for v in got)
-            fired_l += got[1] > 0.0
-            fired_r += got[2] > 0.0
-            state = got[0]
+        cfg = SimConfig(drift=builtin_drift(1), sigma=1.0,
+                        barrier=_BARRIERS[mode], n_steps=5, delta=0.05,
+                        x0=state, seed=seed)
+        p = _assert_matches_oracle(cfg)
+        fired_l += int(np.count_nonzero(np.diff(p.l_reg) > 0.0))
+        fired_r += int(np.count_nonzero(np.diff(p.r_reg) > 0.0))
     assert fired_l > 0
     assert (fired_r > 0) == (mode == "two_sided")
-
-
-@pytest.mark.parametrize("mode", sorted(_BARRIERS))
-def test_step_regulator_zeros_are_positive(mode):
-    # step() reads dL and dR off the signed increment dR - dL, where -0.0
-    # would pass every == check: an unfired barrier must give +0.0, as the
-    # oracle does, and a fired one the oracle's exact bits
-    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=_BARRIERS[mode],
-                    n_steps=1, delta=0.05, seed=0)
-    fired = unfired = 0
-    for seed, state in enumerate(np.linspace(0.0, 3.0, 61).tolist()):
-        rng, oracle_rng = stream_rng(seed), stream_rng(seed)
-        for _ in range(5):
-            got = step(state, cfg, rng)
-            want = _oracle_step(state, cfg, oracle_rng)
-            for g, w in zip(got[1:], want[1:]):
-                if w == 0.0:
-                    assert math.copysign(1.0, g) == 1.0
-                    unfired += 1
-                else:
-                    assert g.hex() == w.hex()
-                    fired += 1
-            state = got[0]
-    assert fired > 0 and unfired > 0
 
 
 def test_divergence_index_is_absolute_in_and_after_the_burn_in():
@@ -436,18 +387,6 @@ def test_divergence_index_is_absolute_in_and_after_the_burn_in():
         assert ei.value.step_index == oracle.value.step_index == 35669
         assert str(ei.value) == str(oracle.value)
         assert str(ei.value) == "step 35669: state became non-finite"
-
-
-def test_step_error_has_no_step_prefix():
-    bad = DriftSpec("exploder",
-                    lambda x: 1e300 * (np.asarray(x, dtype=float) + 1.0))
-    cfg = SimConfig(drift=bad, sigma=0.0, barrier=BarrierConfig.one_sided(0.0),
-                    n_steps=1, delta=1e10, x0=1.0, seed=0)
-    with np.errstate(over="ignore"):
-        with pytest.raises(SimulationDivergedError) as ei:
-            step(1.0, cfg, stream_rng(0))
-    assert str(ei.value) == "state became non-finite"
-    assert ei.value.step_index is None
 
 
 def test_simulate_path_working_set_is_linear():
@@ -493,6 +432,19 @@ def test_simulate_paths_picks_its_kernel_by_width(monkeypatch, width, kernel):
     paths = simulate_paths([replace(base, seed=s) for s in range(width)])
     assert used == [kernel]
     assert len(paths) == width
+
+
+def test_step_at_most_one_regulator_fires():
+    # both kernels: no step moves both regulators, and each fires somewhere
+    base = _cfg(sigma=0.4, delta=0.01, drift=builtin_drift(1), x0=0.05,
+                n_steps=2000)
+    cfgs = [replace(base, seed=s) for s in range(20)]
+    for kernel in _KERNELS:
+        paths = sim_module._simulate(cfgs, kernel)
+        dl = np.array([np.diff(p.l_reg) for p in paths])
+        dr = np.array([np.diff(p.r_reg) for p in paths])
+        assert not np.any((dl > 0.0) & (dr > 0.0))
+        assert np.any(dl > 0.0) and np.any(dr > 0.0)
 
 
 def _assert_batch_matches_oracle(cfgs):
