@@ -16,22 +16,36 @@ with zero drift, where both signs give the uniform law, simulated paths give
 0.5-0.7.
 
 All integrals are composite Simpson.  pi_eval and the normalizer share the
-same inner-integral rule (quad_panels panels on [l, x]), so the normalization
-error cancels and int pi = 1 holds to quadrature accuracy even when the inner
-rule itself carries discretization error.  The inner rule runs over blocks of
-targets that hold at most _NODE_BUDGET nodes, so its working set does not grow
-with the number of targets or with quad_panels.  The normalizer's outer rule
-runs on s in [0, 1] under the graded map y = l + W (3s^2 - 2s^3), which puts
-its nodes densest at both barriers, where a boundary layer or a sqrt-like
-drift's endpoint singularity sits; see invariant_density.  Its panels double
-until two levels agree, and the doublings share nodes: every level's nodes
-are bit-for-bit the even nodes of the next, so each doubling evaluates only
-the new odd nodes, and the result is bitwise the final level's fresh rule.
+same inner-integral rule I_P (quad_panels panels on [l, x]), so the
+normalization error cancels and int pi = 1 holds to quadrature accuracy even
+when the inner rule itself carries discretization error.  The inner rule runs
+over blocks of targets that hold at most _NODE_BUDGET nodes, so its working
+set does not grow with the number of targets or with quad_panels.  The
+normalizer's outer rule runs on s in [0, 1] under the graded map
+y = l + W (3s^2 - 2s^3), which puts its nodes densest at both barriers, where
+a boundary layer or a sqrt-like drift's endpoint singularity sits; see
+invariant_density.  Its panels double until two levels agree, and the
+doublings share nodes: every level's nodes are bit-for-bit the even nodes of
+the next, so each doubling evaluates only the new odd nodes, and Z is bitwise
+the final level's fresh rule.
+
+The density keeps the inner integrals I_P at the normalizer's final-level
+nodes as a table in s.  f_eval reads pi from it, through the closed-form
+inverse of the map and a local quintic Lagrange interpolant, instead of
+running an inner rule for each node of its r-rule.  The doubling stops only
+when the table also checks itself: the quintic through the even nodes must
+give the fresh odd nodes to c |dI| <= 1e-10 (c = 2/sigma^2), which is pi to
+1e-10 relative.  One-sided, targets past support_hi read slabs
+[l + 2^k W, l + 2^(k+1) W] of the same I_P on uniform nodes; each is built
+under the same check when a target first falls in it, and kept with the
+density.  The tables reproduce I_P, not the exact integral, so pi_eval is
+unchanged and f_eval moves from the per-node inner rules by at most about
+1e-10 relative (1e-13 measured on the built-in cases).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +65,11 @@ __all__ = [
 _TAIL_TOL = 1e-10     # one-sided tail truncation threshold
 _MAX_TAIL_DOUBLINGS = 40
 _NORM_RTOL = 1e-10    # outer-panel doubling stop for the normalizer
+_TABLE_TOL = 1e-10    # c |dI| stop for the inner-integral tables
 _MAX_PANEL_DOUBLINGS = 16
+_SLAB_PANELS = 16     # first level of a slab: I_P is smooth past support_hi
+# Lagrange denominators prod_{k != m} (m - k) of the nodes 0, 1, ..., 5
+_QUINTIC_DENOM = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
 # Nodes per block of the inner rule (one target's nodes when they alone are
 # more): 2**16 float64 nodes are 0.5 MB per temporary, which stays in cache.
 _NODE_BUDGET = 2 ** 16
@@ -112,7 +130,9 @@ class InvariantDensity:
 
     ``support_hi`` is the upper barrier in two-sided mode, or the truncation
     point l + T_tail at which the one-sided tail was verified negligible.
-    Build instances through :func:`invariant_density`.
+    ``inner_table`` holds I_P at the normalizer's graded nodes and ``slabs``
+    the one-sided slabs built so far; f_eval reads both.  Build instances
+    through :func:`invariant_density`.
     """
 
     drift: DriftSpec
@@ -121,6 +141,10 @@ class InvariantDensity:
     normalizer: float
     quad_panels: int
     support_hi: float
+    inner_table: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
+    slabs: dict[int, np.ndarray] = field(default_factory=dict, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.normalizer) and self.normalizer > 0):
@@ -142,7 +166,7 @@ def _unnormalized(drift: DriftSpec, sigma: float, lower: float, x, n_panels: int
 
 def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
                       quad_panels: int = 1024) -> InvariantDensity:
-    """Compute the normalizer and return the ready-to-evaluate density.
+    """Compute the normalizer and the inner-integral table of the density.
 
     Z integrates the unnormalized density g over [l, support_hi]: the upper
     barrier two-sided, and one-sided the horizon l + T_tail, where T_tail
@@ -152,22 +176,32 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
 
     In both modes Z is taken on s in [0, 1] under the graded map
     y = l + W (3s^2 - 2s^3), dy = 6 W s (1 - s) ds, W = support_hi - l, with
-    the panels doubling from quad_panels until two levels agree.  The map's
-    slope vanishes at both ends, so uniform steps in s put nodes densest at
-    the barriers, where the mass of a strong drift piles up in a boundary
-    layer (about 0.05 wide for case 3 at sigma 0.2) and where a drift that
-    vanishes like sqrt(x - l) gives g a (y - l)^{3/2} term that slows a
-    uniform Simpson rule to O(h^{5/2}).  Grading turns that term into a
-    smooth one: case 3 at sigma 0.2 stops at 2048 panels, where a uniform
-    rule needs 131072.  A map that grades only the lower end (y = l + W s^2)
-    would thin the nodes at the upper barrier, where b = -1 piles the mass:
-    it needs 32768 panels there, against 4096 for this map.
+    the panels doubling from quad_panels.  The map's slope vanishes at both
+    ends, so uniform steps in s put nodes densest at the barriers, where the
+    mass of a strong drift piles up in a boundary layer (about 0.05 wide for
+    case 3 at sigma 0.2) and where a drift that vanishes like sqrt(x - l)
+    gives g a (y - l)^{3/2} term that slows a uniform Simpson rule to
+    O(h^{5/2}).  Grading turns that term into a smooth one: case 3 at sigma
+    0.2 stops at 2048 panels, where a uniform rule needs 131072.  A map that
+    grades only the lower end (y = l + W s^2) would thin the nodes at the
+    upper barrier, where b = -1 piles the mass: it needs 32768 panels there,
+    against 4096 for this map.
+
+    The inner integrals I_P at the final level's nodes s_i = i / (2P) are
+    kept as ``inner_table``.  The doubling stops when two levels' Z agree
+    to _NORM_RTOL relative (criterion 6's 1e-8 with room; the built-in
+    cases' Z lie at 0.02-0.06 at sigma 0.2 and b = 6's at 1/300, so the test
+    is relative) and the quintic through the even nodes gives the fresh odd
+    ones to c |dI| <= _TABLE_TOL (see _settled).  For cases 1-3, b = -1,
+    b = 6 and b = 1.5 - x at sigma 0.2 and 1, in both modes, the table
+    check holds by the level where Z agrees, so it adds no level there.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     if quad_panels < 1:
         raise ValueError("quad_panels must be positive")
     lower = barrier.lower
+    c = 2.0 / (sigma * sigma)
 
     def g(x):
         return _unnormalized(drift, sigma, lower, x, quad_panels)
@@ -189,48 +223,117 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
         support_hi = lower + t_tail
     width = support_hi - lower
 
-    def graded(s):
-        # y = l + W (3s^2 - 2s^3), dy = 6 W s (1 - s) ds on s in [0, 1]
-        return (g(lower + width * (s * s * (3.0 - 2.0 * s)))
-                * (6.0 * width * s * (1.0 - s)))
+    def inner(s):
+        return _integral_from(drift.fn, lower,
+                              lower + width * (s * s * (3.0 - 2.0 * s)),
+                              quad_panels)
 
-    z = _converged_simpson(graded, 0.0, 1.0, quad_panels)
+    def z_of(table):
+        # Simpson of g(y(s)) dy/ds over the table's level
+        s, w = _simpson_nodes_weights((table.size - 1) // 2)
+        return float((np.exp(-c * table) * (6.0 * width * s * (1.0 - s)))
+                     @ w)
+
+    def settled(coarse, fine):
+        z = z_of(fine)
+        return (abs(z - z_of(coarse)) <= _NORM_RTOL * abs(z)
+                and _settled(coarse, fine, c))
+
+    table = _doubled_table(inner, quad_panels, settled)
+    z = z_of(table)
     if not (math.isfinite(z) and z > 0):
         raise ModelNotErgodicError(f"normalizer not positive-finite (Z={z:g})")
     return InvariantDensity(drift=drift, sigma=sigma, barrier=barrier,
                             normalizer=z, quad_panels=quad_panels,
-                            support_hi=support_hi)
+                            support_hi=support_hi, inner_table=table)
 
 
-def _converged_simpson(fn, a: float, b: float, start_panels: int) -> float:
-    """Simpson of fn on [a, b], doubling the panels until two levels agree.
-
-    Two levels agree when they differ by at most _NORM_RTOL * |Z|, relative
-    whatever the size of Z: the built-in cases' normalizers lie at 0.02-0.06
-    at sigma 0.2, and b = 6's at 1/300, where an absolute 1e-10 would leave
-    1.7e-9 relative error.  Cases 1 and 3 at sigma 0.2 stop at 2048 panels,
-    case 2 at 4096.
+def _doubled_table(fn, start_panels: int, settled) -> np.ndarray:
+    """fn at the nodes s_i = i / (2P) of [0, 1], P doubling from start_panels
+    until settled(coarse, fine) holds for two successive levels.
 
     The levels share nodes: level P's nodes are bit-for-bit the even nodes
     of level 2P, so each doubling keeps the old values and calls fn only at
-    the new odd nodes.  The result is bitwise the final level's fresh rule,
-    _fixed_simpson(fn, a, b, P_final), for fn evaluated pointwise.
+    the new odd nodes.
     """
     panels = start_panels
-    offsets, w = _simpson_nodes_weights(panels)
-    vals = np.asarray(fn(a + (b - a) * offsets))
-    prev = float(vals @ w) * (b - a)
+    table = np.asarray(fn(np.linspace(0.0, 1.0, 2 * panels + 1)), dtype=float)
     for _ in range(_MAX_PANEL_DOUBLINGS):
         panels *= 2
-        offsets, w = _simpson_nodes_weights(panels)
-        old, vals = vals, np.empty(offsets.size)
-        vals[0::2] = old
-        vals[1::2] = fn(a + (b - a) * offsets[1::2])
-        cur = float(vals @ w) * (b - a)
-        if abs(cur - prev) <= _NORM_RTOL * abs(cur):
-            return cur
-        prev = cur
-    raise RuntimeError("normalizer quadrature failed to stabilize")
+        s = np.linspace(0.0, 1.0, 2 * panels + 1)
+        coarse, table = table, np.empty(s.size)
+        table[0::2] = coarse
+        table[1::2] = fn(s[1::2])
+        if settled(coarse, table):
+            return table
+    raise RuntimeError("density quadrature failed to stabilize")
+
+
+def _quintic(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Interpolate table (samples at indices 0, 1, ..., n - 1, n >= 6) at the
+    fractional indices p, each from the six nodes around it, shifted inward
+    at the ends.  A stencil that holds +inf (an inner integral that
+    overflowed, where pi is 0) gives +inf."""
+    j0 = np.clip(p.astype(np.intp) - 2, 0, table.size - 6)
+    d = (p - j0)[:, None] - np.arange(6.0)
+    # the basis polynomial of node m is prod_{k != m} d_k / _QUINTIC_DENOM[m]
+    ones = np.ones((p.size, 1))
+    left = np.cumprod(np.hstack([ones, d[:, :5]]), axis=1)
+    right = np.cumprod(np.hstack([ones, d[:, :0:-1]]), axis=1)[:, ::-1]
+    vals = table[j0[:, None] + np.arange(6)]
+    out = np.einsum("ij,ij->i", left * right / _QUINTIC_DENOM, vals)
+    return np.where(np.isposinf(vals).any(axis=1), np.inf, out)
+
+
+def _settled(coarse: np.ndarray, fine: np.ndarray, c: float) -> bool:
+    """True when the quintic through coarse (fine's even nodes) gives fine's
+    odd nodes to c |dI| <= _TABLE_TOL, pi's relative error, wherever
+    exp(-c I) does not underflow to 0 (where it does, pi is 0 either way).
+    A level with fewer than six nodes has no stencil and is not settled."""
+    if coarse.size < 6:
+        return False
+    fresh = fine[1::2]
+    guess = _quintic(coarse, np.arange(coarse.size - 1) + 0.5)
+    seen = np.exp(-c * np.fmin(guess, fresh)) > 0.0
+    return bool(np.all(c * np.abs(guess - fresh)[seen] <= _TABLE_TOL))
+
+
+def _slab(d: InvariantDensity, k: int) -> np.ndarray:
+    """I_P on uniform nodes of [l + 2^k W, l + 2^(k+1) W], W = support_hi - l,
+    built on first need and kept in d.slabs."""
+    if k not in d.slabs:
+        lower = d.barrier.lower
+        start = math.ldexp(d.support_hi - lower, k)
+        c = 2.0 / (d.sigma * d.sigma)
+        d.slabs[k] = _doubled_table(
+            lambda t: inner_integral(d, lower + start * (1.0 + t)),
+            _SLAB_PANELS, lambda coarse, fine: _settled(coarse, fine, c))
+    return d.slabs[k]
+
+
+def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
+    """I_P(y) read from the density's tables.
+
+    On [l, support_hi] the closed-form inverse of y = l + W (3s^2 - 2s^3),
+    s = 1/2 - sin(arcsin(1 - 2u) / 3) with u = (y - l) / W, locates y in
+    inner_table; one-sided, u > 1 is u = 2^k (1 + t) in slab k.
+    """
+    lower = d.barrier.lower
+    u = np.maximum((y - lower) / (d.support_hi - lower), 0.0)
+    if d.barrier.mode == "two_sided":
+        u = np.minimum(u, 1.0)   # x + r h may pass the barrier by an ulp
+    out = np.empty(u.shape)
+    inside = u <= 1.0
+    s = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * u[inside]) / 3.0)
+    out[inside] = _quintic(d.inner_table, s * (d.inner_table.size - 1))
+    mant, expo = np.frexp(u[~inside])   # u = mant 2^expo, mant in [1/2, 1)
+    past = out[~inside]
+    for e in np.unique(expo):
+        slab = _slab(d, int(e) - 1)
+        at = expo == e
+        past[at] = _quintic(slab, (2.0 * mant[at] - 1.0) * (slab.size - 1))
+    out[~inside] = past
+    return out
 
 
 def pi_eval(d: InvariantDensity, x):
@@ -244,7 +347,16 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
 
     pi is extended by zero outside the domain, so the r-range is clipped to
     the part of [-1,1] that stays inside [l, u] (or [l, inf) one-sided).
+    The r-rule is Simpson with d.quad_panels panels, as pi_eval's inner
+    rule, but each node's pi comes from the density's table of I_P, not
+    from a rule of its own: F moves from the pi_eval form by at most
+    1e-10 relative (the table's stop test), and no drift is evaluated
+    unless a one-sided target first reaches a slab past support_hi.
     """
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if d.inner_table is None:
+        raise ValueError("density has no table; build it with invariant_density")
     h = k.bandwidth
     r_lo = max(-1.0, (d.barrier.lower - x) / h)
     r_hi = 1.0
@@ -252,9 +364,11 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
         r_hi = min(1.0, (d.barrier.upper - x) / h)
     if r_lo >= r_hi:
         return 0.0
+    c = 2.0 / (d.sigma * d.sigma)
 
     def integrand(r):
-        return np.asarray(k.fn(r)) * pi_eval(d, x + r * h)
+        pi = np.exp(-c * _table_integral(d, x + r * h)) / d.normalizer
+        return np.asarray(k.fn(r)) * pi
 
     val = _fixed_simpson(integrand, r_lo, r_hi, d.quad_panels)
     return max(val, 0.0)

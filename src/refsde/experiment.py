@@ -465,8 +465,9 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     the continuous-type estimator the sqrt(T h) scaling with T = n*Delta is
     the same number, so one formula covers both.  Replications whose
     estimate is undefined at x0 are dropped and counted.  Raises ValueError
-    when x0 sits within one bandwidth of a barrier or the (n, Delta, h)
-    schedule fails a required rate direction.
+    when x0 sits within one bandwidth of a barrier or outside the domain,
+    or the (n, Delta, h) schedule fails a required rate direction, before
+    any density or replication work.
     """
     h = bandwidth(n, beta)
     delta = delta_of_n(n)
@@ -483,9 +484,11 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
                           estimator_type=estimator_type, base_seed=base_seed,
                           refine=refine, lower=lower, upper=upper,
                           burn_in=burn_in)
+    barrier = plan.barrier_for(mode)
+    if not barrier.contains(x0):   # one-sided +inf passes the interior test
+        raise ValueError("x0 must lie in the barrier domain")
     drift = builtin_drift(case_id)
-    dens = invariant_density(drift, sigma, plan.barrier_for(mode),
-                             quad_panels=quad_panels)
+    dens = invariant_density(drift, sigma, barrier, quad_panels=quad_panels)
     sig2 = sigma_eval(dens, f_eval(dens, epanechnikov(h), float(x0)))
     scale = math.sqrt(n * h * delta) / math.sqrt(sig2)
     tasks = [(plan, mode, int(n), float(beta), float(x0), r)

@@ -125,6 +125,8 @@ def one_sided_csv(tmp_path_factory):
     pytest.param(_EST + ["--sigma", "inf"], id="estimate-sigma-inf"),
     pytest.param(_EXP + ["--sigma", "inf"], id="experiment-sigma-inf"),
     pytest.param(_NORM + ["--sigma", "inf"], id="normality-sigma-inf"),
+    pytest.param(_NORM[:4] + ["inf"] + _NORM[5:] + ["--mode", "one-sided"],
+                 id="normality-one-sided-x0-inf"),
 ])
 def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
                                           one_sided_csv, capsys):

@@ -23,9 +23,11 @@ from refsde import (
 from refsde.density import (
     _NODE_BUDGET,
     _NORM_RTOL,
-    _converged_simpson,
+    _TABLE_TOL,
+    _doubled_table,
     _fixed_simpson,
     _simpson_nodes_weights,
+    _table_integral,
     _unnormalized,
 )
 
@@ -195,6 +197,22 @@ def _case3_two_sided_g(x):
     return _unnormalized(builtin_drift(3), SIGMA, 0.0, x, 128)
 
 
+def _level_simpson(vals, width):
+    # Simpson on [0, width] of the values at one doubling level's nodes
+    _, w = _simpson_nodes_weights((vals.size - 1) // 2)
+    return float(vals @ w) * width
+
+
+def _converged(fn, width, start):
+    """Uniform Simpson of fn on [0, width], panels doubling from start until
+    two levels agree to _NORM_RTOL relative, as the normalizer's Z test."""
+    def agree(coarse, fine):
+        z = _level_simpson(fine, width)
+        return abs(z - _level_simpson(coarse, width)) <= _NORM_RTOL * abs(z)
+    return _level_simpson(_doubled_table(lambda s: fn(width * s), start,
+                                         agree), width)
+
+
 @pytest.mark.parametrize("start", [1024, 1000])
 @pytest.mark.parametrize("fn", [_smooth, _case3_two_sided_g],
                          ids=["smooth", "case3-g"])
@@ -205,7 +223,7 @@ def test_converged_simpson_evaluates_each_node_once(fn, start):
         seen.append(np.array(x, dtype=float))
         return fn(x)
 
-    z = _converged_simpson(counting, 0.0, 3.0, start)
+    z = _converged(counting, 3.0, start)
     nodes = np.sort(np.concatenate(seen))
     p_final = (nodes.size - 1) // 2
     assert nodes.size == 2 * p_final + 1
@@ -277,15 +295,15 @@ def test_case3_normalizer_stops_at_first_doubling(monkeypatch, barrier):
     # (a uniform rule needs 2 * 32768 + 1)
     outer = []
 
-    def counting(fn, a, b, start):
-        def fn_counted(x):
-            outer.append(np.size(x))
-            return fn(x)
-        return _converged_simpson(fn_counted, a, b, start)
+    def counting(fn, start, settled):
+        def fn_counted(s):
+            outer.append(np.size(s))
+            return fn(s)
+        return _doubled_table(fn_counted, start, settled)
 
-    monkeypatch.setattr("refsde.density._converged_simpson", counting)
-    invariant_density(builtin_drift(3), SIGMA, barrier)
-    assert sum(outer) == 2 * 2048 + 1
+    monkeypatch.setattr("refsde.density._doubled_table", counting)
+    dens = invariant_density(builtin_drift(3), SIGMA, barrier)
+    assert sum(outer) == dens.inner_table.size == 2 * 2048 + 1
 
 
 _ZS = [(builtin_drift(c), b) for c in (1, 2, 3)
@@ -309,7 +327,7 @@ def test_graded_normalizer_matches_uniform_rule(drift, barrier):
     def g(x):
         return _unnormalized(drift, SIGMA, 0.0, x, 1024)
 
-    uniform = _converged_simpson(g, 0.0, dens.support_hi, 1024)
+    uniform = _converged(g, dens.support_hi, 1024)
     assert dens.normalizer == pytest.approx(uniform, rel=1e-10, abs=0.0)
 
 
@@ -322,3 +340,127 @@ def test_small_normalizer_is_relatively_accurate():
     dens = invariant_density(_const_drift(6.0), SIGMA, TWO_SIDED)
     z = -math.expm1(-900.0) / 300.0
     assert dens.normalizer == pytest.approx(z, rel=2.2e-11, abs=0.0)
+
+
+def _f_oracle(d, k, x):
+    """F(x) by the 1024-panel Simpson r-rule over pi_eval: one inner rule
+    per node, as f_eval computed it before it read the table."""
+    h = k.bandwidth
+    r_lo = max(-1.0, (d.barrier.lower - x) / h)
+    r_hi = 1.0
+    if d.barrier.mode == "two_sided":
+        r_hi = min(1.0, (d.barrier.upper - x) / h)
+    if r_lo >= r_hi:
+        return 0.0
+    r = np.linspace(r_lo, r_hi, 2 * 1024 + 1)
+    w = np.full(r.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    vals = np.asarray(k.fn(r)) * pi_eval(d, x + r * h)
+    return max(float(vals @ w) / (6.0 * 1024) * (r_hi - r_lo), 0.0)
+
+
+_MEAN_REVERTING = DriftSpec("mean-reverting",
+                            lambda x: 1.5 - np.asarray(x, dtype=float))
+# b = -1 and b = 1.5 - x have no stationary law on [0, inf): one-sided they
+# enter with the built-in cases only
+_ORACLE = [(d, s, TWO_SIDED)
+           for d in [builtin_drift(1), builtin_drift(2), builtin_drift(3),
+                     _const_drift(-1.0), _MEAN_REVERTING]
+           for s in (0.2, 1.0)] + [
+    (builtin_drift(c), s, BarrierConfig.one_sided(0.0))
+    for c in (1, 2, 3) for s in (0.2, 1.0)]
+
+
+@pytest.mark.parametrize("drift, sigma, barrier", _ORACLE,
+                         ids=[f"{d.name}-{s}-{b.mode}" for d, s, b in _ORACLE])
+def test_f_eval_matches_the_pi_eval_rule(drift, sigma, barrier):
+    # The table stops when c |dI| <= 1e-10 at the coarser level's fresh
+    # nodes, so each of f_eval's pi values is within about 1e-10 relative of
+    # pi_eval's, and F, a positive-weight sum of them, is too.
+    k = epanechnikov(0.1)
+    dens = invariant_density(drift, sigma, barrier)
+    hi = dens.support_hi
+    xs = [0.0, 0.04, 1.234]
+    if barrier.mode == "two_sided":
+        xs.append(2.97)
+    else:   # windows that straddle support_hi, and one in the second slab
+        xs += [hi - 0.05, hi + 0.05, 2.0 * hi + 0.3]
+    for x in xs:
+        want = _f_oracle(dens, k, x)
+        assert f_eval(dens, k, x) == pytest.approx(want, rel=1e-10, abs=0.0)
+    # pi_eval is unchanged: the inner rule's g over Z, and Z is bitwise the
+    # final level's fresh graded Simpson rule
+    width = hi - 0.0
+
+    def graded(s):
+        return (_unnormalized(drift, sigma, 0.0, width * (s * s * (3.0 - 2.0 * s)),
+                              1024) * (6.0 * width * s * (1.0 - s)))
+
+    z = _fixed_simpson(graded, 0.0, 1.0, (dens.inner_table.size - 1) // 2)
+    assert dens.normalizer == z
+    ys = np.linspace(0.0, hi, 41)
+    np.testing.assert_array_equal(
+        pi_eval(dens, ys), _unnormalized(drift, sigma, 0.0, ys, 1024) / z)
+
+
+_STOP = [(DriftSpec("sin20x", lambda x: np.sin(20.0 * np.asarray(x, float))),
+          TWO_SIDED),
+         (builtin_drift(1), BarrierConfig.one_sided(0.0)),
+         (builtin_drift(3), BarrierConfig.one_sided(0.0))]
+
+
+@pytest.mark.parametrize("drift, barrier", _STOP,
+                         ids=[f"{d.name}-{b.mode}" for d, b in _STOP])
+def test_table_meets_its_interpolation_bound_at_fresh_points(drift, barrier):
+    # At 8 panels Z settles before the table does: without the table's own
+    # stop test, sin(20 x)'s table stops at c |dI| = 6e-9 and the one-sided
+    # slabs at their first doubling, case 1's at 4e-4.
+    dens = invariant_density(drift, SIGMA, barrier, quad_panels=8)
+    c = 2.0 / SIGMA ** 2
+    hi = dens.support_hi
+    rng = np.random.default_rng(7)
+    ys = rng.uniform(0.0, hi, 2000)
+    if barrier.mode != "two_sided":   # slabs 0 and 1
+        ys = np.concatenate([ys, rng.uniform(hi, 4.0 * hi, 1000)])
+    want = inner_integral(dens, ys)
+    err = c * np.abs(_table_integral(dens, ys) - want)
+    seen = np.exp(-c * want) > 0.0   # elsewhere pi is 0 either way
+    assert err[seen].max() <= _TABLE_TOL
+
+
+def test_f_eval_runs_no_inner_rule():
+    # two-sided, F reads only the table; one-sided, a slab past support_hi
+    # is built by the first target that reaches it and read after that
+    calls = []
+    base = builtin_drift(1)
+
+    def counting(x):
+        calls.append(np.size(x))
+        return base.fn(x)
+
+    k = epanechnikov(0.1)
+    drift = DriftSpec("counting", counting)
+    dens = invariant_density(drift, SIGMA, TWO_SIDED)
+    calls.clear()
+    for x in np.linspace(0.0, 3.0, 31):
+        f_eval(dens, k, float(x))
+    assert calls == []
+    dens = invariant_density(drift, SIGMA, BarrierConfig.one_sided(0.0))
+    calls.clear()
+    f_eval(dens, k, 1.0)
+    assert calls == [] and dens.slabs == {}
+    f_eval(dens, k, dens.support_hi + 0.05)
+    assert list(dens.slabs) == [0] and calls
+    calls.clear()
+    f_eval(dens, k, dens.support_hi + 0.5)
+    assert calls == []
+
+
+def test_f_eval_rejects_non_finite_x():
+    dens = invariant_density(builtin_drift(2), SIGMA,
+                             BarrierConfig.one_sided(0.0))
+    k = epanechnikov(0.1)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            f_eval(dens, k, x)
