@@ -15,13 +15,15 @@ the standardized estimate has variance int K^2 (0.6 for Epanechnikov), not 1;
 with zero drift, where both signs give the uniform law, simulated paths give
 0.5-0.7.
 
-All integrals are composite Simpson.  pi_eval and the normalizer share the
-same inner-integral rule I_P (quad_panels panels on [l, x]), so the
-normalization error cancels and int pi = 1 holds to quadrature accuracy even
-when the inner rule itself carries discretization error.  The inner rule runs
-over blocks of targets that hold at most _NODE_BUDGET nodes, so its working
-set does not grow with the number of targets or with quad_panels.  The
-normalizer's outer rule runs on s in [0, 1] under the graded map
+All integrals are composite Simpson.  The inner integral I_P (quad_panels
+panels on [l, y]) is evaluated only at the nodes of the density's tables,
+and every reader of pi (the normalizer, the one-sided tail test, pi_eval and
+f_eval) takes it from them, so the normalization error cancels and
+int pi = 1 holds to quadrature accuracy even when the inner rule itself
+carries discretization error.  The inner rule runs over blocks of targets
+that hold at most _NODE_BUDGET nodes, so its working set does not grow with
+the number of targets or with quad_panels.  The normalizer's outer rule
+runs on s in [0, 1] under the graded map
 y = l + W (3s^2 - 2s^3), which puts its nodes densest at both barriers, where
 a boundary layer or a sqrt-like drift's endpoint singularity sits; see
 invariant_density.  Its panels double until two levels agree, and the
@@ -30,17 +32,17 @@ the next, so each doubling evaluates only the new odd nodes, and Z is bitwise
 the final level's fresh rule.
 
 The density keeps the inner integrals I_P at the normalizer's final-level
-nodes as a table in s.  f_eval reads pi from it, through the closed-form
-inverse of the map and a local quintic Lagrange interpolant, instead of
-running an inner rule for each node of its r-rule.  The doubling stops only
-when the table also checks itself: the quintic through the even nodes must
-give the fresh odd nodes to c |dI| <= 1e-10 (c = 2/sigma^2), which is pi to
-1e-10 relative.  One-sided, targets past support_hi read slabs
-[l + 2^k W, l + 2^(k+1) W] of the same I_P on uniform nodes; each is built
-under the same check when a target first falls in it, and kept with the
-density.  The tables reproduce I_P, not the exact integral, so pi_eval is
-unchanged and f_eval moves from the per-node inner rules by at most about
-1e-10 relative (1e-13 measured on the built-in cases).
+nodes as a table in s.  pi_eval and f_eval read pi from it through the
+closed-form inverse of the map and a local quintic Lagrange interpolant.
+The doubling stops only when the table also checks itself: the quintic
+through the even nodes must give the fresh odd nodes to c |dI| <= 1e-10
+(c = 2/sigma^2), which is pi to 1e-10 relative.  One-sided, y past
+support_hi reads slab j, I_P on uniform nodes of [l + 2^j, l + 2^(j+1)],
+built under the same check; the tail test builds the slabs up to the first
+one past support_hi, and a reader builds any later one when a target first
+falls in it.  All are kept with the density.  The tables reproduce I_P, not
+the exact integral, so pi moves from a per-point inner rule by at most about
+1e-10 relative (5e-13 measured on the built-in cases).
 """
 from __future__ import annotations
 
@@ -129,10 +131,11 @@ class InvariantDensity:
     """Closed-form invariant density, normalized over its support.
 
     ``support_hi`` is the upper barrier in two-sided mode, or the truncation
-    point l + T_tail at which the one-sided tail was verified negligible.
+    point l + 2^m at which the one-sided tail was verified negligible.
     ``inner_table`` holds I_P at the normalizer's graded nodes and ``slabs``
-    the one-sided slabs built so far; f_eval reads both.  Build instances
-    through :func:`invariant_density`.
+    the one-sided slabs built so far, slab j on [l + 2^j, l + 2^(j+1)];
+    pi_eval and f_eval read both.  Build instances through
+    :func:`invariant_density`.
     """
 
     drift: DriftSpec
@@ -141,8 +144,7 @@ class InvariantDensity:
     normalizer: float
     quad_panels: int
     support_hi: float
-    inner_table: np.ndarray | None = field(default=None, repr=False,
-                                           compare=False)
+    inner_table: np.ndarray = field(repr=False, compare=False)
     slabs: dict[int, np.ndarray] = field(default_factory=dict, repr=False,
                                          compare=False)
 
@@ -159,20 +161,18 @@ def inner_integral(d: InvariantDensity, x):
     return _integral_from(d.drift.fn, d.barrier.lower, x, d.quad_panels)
 
 
-def _unnormalized(drift: DriftSpec, sigma: float, lower: float, x, n_panels: int):
-    c = 2.0 / (sigma * sigma)
-    return np.exp(-c * _integral_from(drift.fn, lower, x, n_panels))
-
-
 def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
                       quad_panels: int = 1024) -> InvariantDensity:
     """Compute the normalizer and the inner-integral table of the density.
 
-    Z integrates the unnormalized density g over [l, support_hi]: the upper
-    barrier two-sided, and one-sided the horizon l + T_tail, where T_tail
-    doubles until the last tail slab [l + T/2, l + T] contributes < 1e-10;
-    failure to stabilize within 40 doublings means the density is not
-    integrable (model not ergodic).
+    Z integrates the unnormalized density g = exp(-c I_P) over
+    [l, support_hi]: the upper barrier two-sided, and one-sided l + 2^(j+1)
+    for the first slab j >= 0 (slab j is [l + 2^j, l + 2^(j+1)]) whose mass
+    and the next slab's are both < 1e-10; the next slab rules out a g that
+    dips below 1e-10 on slab j and grows past it, as b = 1.5 - x's does at
+    sigma 0.2.  A slab's mass is Simpson of g on the slab's own settled
+    nodes, times its width 2^j.  Failure to stop within 40 slabs means the
+    density is not integrable (model not ergodic).
 
     In both modes Z is taken on s in [0, 1] under the graded map
     y = l + W (3s^2 - 2s^3), dy = 6 W s (1 - s) ds, W = support_hi - l, with
@@ -193,8 +193,9 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     cases' Z lie at 0.02-0.06 at sigma 0.2 and b = 6's at 1/300, so the test
     is relative) and the quintic through the even nodes gives the fresh odd
     ones to c |dI| <= _TABLE_TOL (see _settled).  For cases 1-3, b = -1,
-    b = 6 and b = 1.5 - x at sigma 0.2 and 1, in both modes, the table
-    check holds by the level where Z agrees, so it adds no level there.
+    b = 6 and b = 1.5 - x at sigma 0.2 and 1, in each mode where they are
+    ergodic, the table check holds by the level where Z agrees, so it adds
+    no level there.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -203,36 +204,35 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     lower = barrier.lower
     c = 2.0 / (sigma * sigma)
 
-    def g(x):
-        return _unnormalized(drift, sigma, lower, x, quad_panels)
+    def integral(y):
+        return _integral_from(drift.fn, lower, y, quad_panels)
+
+    slabs: dict[int, np.ndarray] = {}
+
+    def mass(j):
+        return math.ldexp(_g_simpson(_slab(slabs, j, lower, integral, c),
+                                     c, lambda s: 1.0), j)
 
     if barrier.mode == "two_sided":
         support_hi = barrier.upper
     else:
-        t_tail = 1.0
-        for _ in range(_MAX_TAIL_DOUBLINGS):
-            tail = _fixed_simpson(g, lower + t_tail, lower + 2.0 * t_tail,
-                                  quad_panels)
-            t_tail *= 2.0
-            if tail < _TAIL_TOL:
+        for j in range(_MAX_TAIL_DOUBLINGS):
+            tail = mass(j)
+            if tail < _TAIL_TOL and mass(j + 1) < _TAIL_TOL:
                 break
         else:
             raise ModelNotErgodicError(
                 "one-sided invariant density tail did not vanish under "
                 f"truncation doubling (last slab {tail:g})")
-        support_hi = lower + t_tail
+        support_hi = lower + math.ldexp(1.0, j + 1)
     width = support_hi - lower
 
     def inner(s):
-        return _integral_from(drift.fn, lower,
-                              lower + width * (s * s * (3.0 - 2.0 * s)),
-                              quad_panels)
+        return integral(lower + width * (s * s * (3.0 - 2.0 * s)))
 
     def z_of(table):
         # Simpson of g(y(s)) dy/ds over the table's level
-        s, w = _simpson_nodes_weights((table.size - 1) // 2)
-        return float((np.exp(-c * table) * (6.0 * width * s * (1.0 - s)))
-                     @ w)
+        return _g_simpson(table, c, lambda s: 6.0 * width * s * (1.0 - s))
 
     def settled(coarse, fine):
         z = z_of(fine)
@@ -245,7 +245,14 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
         raise ModelNotErgodicError(f"normalizer not positive-finite (Z={z:g})")
     return InvariantDensity(drift=drift, sigma=sigma, barrier=barrier,
                             normalizer=z, quad_panels=quad_panels,
-                            support_hi=support_hi, inner_table=table)
+                            support_hi=support_hi, inner_table=table,
+                            slabs=slabs)
+
+
+def _g_simpson(table: np.ndarray, c: float, jacobian) -> float:
+    """Simpson on [0, 1] of exp(-c I) jacobian(s) at a table's nodes."""
+    s, w = _simpson_nodes_weights((table.size - 1) // 2)
+    return float((np.exp(-c * table) * jacobian(s)) @ w)
 
 
 def _doubled_table(fn, start_panels: int, settled) -> np.ndarray:
@@ -288,27 +295,27 @@ def _quintic(table: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _settled(coarse: np.ndarray, fine: np.ndarray, c: float) -> bool:
     """True when the quintic through coarse (fine's even nodes) gives fine's
     odd nodes to c |dI| <= _TABLE_TOL, pi's relative error, wherever
-    exp(-c I) does not underflow to 0 (where it does, pi is 0 either way).
-    A level with fewer than six nodes has no stencil and is not settled."""
+    exp(-c I) neither underflows to 0 (where pi is 0 either way) nor
+    overflows (where the mass is infinite either way).  A level with fewer
+    than six nodes has no stencil and is not settled."""
     if coarse.size < 6:
         return False
     fresh = fine[1::2]
     guess = _quintic(coarse, np.arange(coarse.size - 1) + 0.5)
-    seen = np.exp(-c * np.fmin(guess, fresh)) > 0.0
+    seen = ((np.exp(-c * np.fmin(guess, fresh)) > 0.0)
+            & (np.exp(-c * np.fmax(guess, fresh)) < np.inf))
     return bool(np.all(c * np.abs(guess - fresh)[seen] <= _TABLE_TOL))
 
 
-def _slab(d: InvariantDensity, k: int) -> np.ndarray:
-    """I_P on uniform nodes of [l + 2^k W, l + 2^(k+1) W], W = support_hi - l,
-    built on first need and kept in d.slabs."""
-    if k not in d.slabs:
-        lower = d.barrier.lower
-        start = math.ldexp(d.support_hi - lower, k)
-        c = 2.0 / (d.sigma * d.sigma)
-        d.slabs[k] = _doubled_table(
-            lambda t: inner_integral(d, lower + start * (1.0 + t)),
+def _slab(slabs: dict, j: int, lower: float, integral, c: float) -> np.ndarray:
+    """I_P (integral(y)) on uniform nodes of [l + 2^j, l + 2^(j+1)], built
+    under the _settled check on first need and kept in slabs."""
+    if j not in slabs:
+        start = math.ldexp(1.0, j)
+        slabs[j] = _doubled_table(
+            lambda t: integral(lower + start * (1.0 + t)),
             _SLAB_PANELS, lambda coarse, fine: _settled(coarse, fine, c))
-    return d.slabs[k]
+    return slabs[j]
 
 
 def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
@@ -316,7 +323,8 @@ def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
 
     On [l, support_hi] the closed-form inverse of y = l + W (3s^2 - 2s^3),
     s = 1/2 - sin(arcsin(1 - 2u) / 3) with u = (y - l) / W, locates y in
-    inner_table; one-sided, u > 1 is u = 2^k (1 + t) in slab k.
+    inner_table; one-sided, y past support_hi is y - l = 2^j (1 + t) in
+    slab j.
     """
     lower = d.barrier.lower
     u = np.maximum((y - lower) / (d.support_hi - lower), 0.0)
@@ -326,20 +334,33 @@ def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
     inside = u <= 1.0
     s = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * u[inside]) / 3.0)
     out[inside] = _quintic(d.inner_table, s * (d.inner_table.size - 1))
-    mant, expo = np.frexp(u[~inside])   # u = mant 2^expo, mant in [1/2, 1)
+    # y - l = mant 2^expo, mant in [1/2, 1): slab expo - 1
+    mant, expo = np.frexp(y[~inside] - lower)
     past = out[~inside]
-    for e in np.unique(expo):
-        slab = _slab(d, int(e) - 1)
+    c = 2.0 / (d.sigma * d.sigma)
+    # a set, not np.unique, whose first call in a process costs about 10 ms
+    for e in set(expo.tolist()):
+        slab = _slab(d.slabs, e - 1, lower, lambda x: inner_integral(d, x), c)
         at = expo == e
         past[at] = _quintic(slab, (2.0 * mant[at] - 1.0) * (slab.size - 1))
     out[~inside] = past
     return out
 
 
+def _pi(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
+    c = 2.0 / (d.sigma * d.sigma)
+    return np.exp(-c * _table_integral(d, y)) / d.normalizer
+
+
 def pi_eval(d: InvariantDensity, x):
-    """Density value(s) at x: exp(-(2/sigma^2) inner_integral(x)) / Z."""
-    return _unnormalized(d.drift, d.sigma, d.barrier.lower, x,
-                         d.quad_panels) / d.normalizer
+    """Density value(s) at x: exp(-(2/sigma^2) I_P(x)) / Z, I_P read from
+    the density's tables (see _table_integral).  Raises ValueError for an x
+    that is not finite or lies outside the barrier domain."""
+    xs = np.asarray(x, dtype=float)
+    if not (np.isfinite(xs).all() and d.barrier.contains(xs)):
+        raise ValueError("x must be finite and lie in the barrier domain")
+    out = _pi(d, np.atleast_1d(xs))
+    return float(out[0]) if xs.ndim == 0 else out
 
 
 def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
@@ -347,16 +368,13 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
 
     pi is extended by zero outside the domain, so the r-range is clipped to
     the part of [-1,1] that stays inside [l, u] (or [l, inf) one-sided).
-    The r-rule is Simpson with d.quad_panels panels, as pi_eval's inner
-    rule, but each node's pi comes from the density's table of I_P, not
-    from a rule of its own: F moves from the pi_eval form by at most
-    1e-10 relative (the table's stop test), and no drift is evaluated
-    unless a one-sided target first reaches a slab past support_hi.
+    The r-rule is Simpson with d.quad_panels panels, and each node's pi
+    is pi_eval's, read from the density's tables: no drift is evaluated
+    unless a one-sided target reaches a slab past the first one beyond
+    support_hi, which the tail test already built.
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    if d.inner_table is None:
-        raise ValueError("density has no table; build it with invariant_density")
     h = k.bandwidth
     r_lo = max(-1.0, (d.barrier.lower - x) / h)
     r_hi = 1.0
@@ -364,11 +382,9 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
         r_hi = min(1.0, (d.barrier.upper - x) / h)
     if r_lo >= r_hi:
         return 0.0
-    c = 2.0 / (d.sigma * d.sigma)
 
     def integrand(r):
-        pi = np.exp(-c * _table_integral(d, x + r * h)) / d.normalizer
-        return np.asarray(k.fn(r)) * pi
+        return np.asarray(k.fn(r)) * _pi(d, x + r * h)
 
     val = _fixed_simpson(integrand, r_lo, r_hi, d.quad_panels)
     return max(val, 0.0)
@@ -380,8 +396,9 @@ def sigma_eval(d: InvariantDensity, f: float) -> float:
     The caller passes F, so each point's F quadrature runs once.  The
     asymptotic variance of sqrt(n h Delta) (b_hat(x) - b(x)) is
     int K^2 * Sigma(x); this function leaves the kernel factor int K^2 out.
+    An F that is not positive, NaN included, raises UndefinedVarianceError.
     """
-    if f <= 0.0:
+    if not f > 0.0:
         raise UndefinedVarianceError(
             f"smoothed density F = {f:g} is not positive; variance undefined")
     return d.sigma * d.sigma / f

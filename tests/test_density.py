@@ -28,7 +28,6 @@ from refsde.density import (
     _fixed_simpson,
     _simpson_nodes_weights,
     _table_integral,
-    _unnormalized,
 )
 
 TWO_SIDED = BarrierConfig.two_sided(0.0, 3.0)
@@ -41,9 +40,18 @@ def _const_drift(c):
 
 
 def _raw(drift, panels, hi=3.0, barrier=TWO_SIDED):
-    # unnormalized evaluator: enough for inner_integral, which ignores Z
+    # unnormalized evaluator: enough for inner_integral, which reads neither
+    # Z nor the tables
     return InvariantDensity(drift=drift, sigma=SIGMA, barrier=barrier,
-                            normalizer=1.0, quad_panels=panels, support_hi=hi)
+                            normalizer=1.0, quad_panels=panels, support_hi=hi,
+                            inner_table=np.zeros(0))
+
+
+def _direct_g(drift, sigma, x, panels=1024):
+    """exp(-c I_P(x)) with I_P by the direct inner rule, one per target:
+    an oracle that reads none of the density's tables."""
+    c = 2.0 / (sigma * sigma)
+    return np.exp(-c * inner_integral(_raw(drift, panels), x))
 
 
 def test_inner_integral_constant_drift():
@@ -76,7 +84,7 @@ def test_invariant_density_validates_inputs():
     with pytest.raises(ValueError):
         InvariantDensity(drift=_const_drift(0.0), sigma=SIGMA,
                          barrier=TWO_SIDED, normalizer=0.0, quad_panels=64,
-                         support_hi=3.0)
+                         support_hi=3.0, inner_table=np.zeros(0))
 
 
 def test_pi_uniform_for_zero_drift():
@@ -119,11 +127,36 @@ def test_one_sided_support_covers_the_mass():
 
 
 def test_nonintegrable_tail_raises():
-    # drift pulling away from the lone barrier has no stationary law
-    with np.errstate(over="ignore"):
-        with pytest.raises(ModelNotErgodicError):
-            invariant_density(_const_drift(-1.0), SIGMA,
-                              BarrierConfig.one_sided(0.0))
+    # drift pulling away from the lone barrier has no stationary law; nor
+    # has b = 1.5 - x, whose g = exp(-(2/sigma^2)(1.5 y - y^2/2)) falls
+    # below 1e-10 on [1, 2] at sigma 0.2 and grows without bound past y = 3
+    for drift, sigma in [(_const_drift(-1.0), SIGMA),
+                         (_const_drift(-1.0), 1.0),
+                         (_const_drift(-0.01), 1.0),
+                         (_const_drift(0.0), 1.0),
+                         (_MEAN_REVERTING, SIGMA),
+                         (_MEAN_REVERTING, 1.0)]:
+        with np.errstate(over="ignore"):
+            with pytest.raises(ModelNotErgodicError, match="did not vanish"):
+                invariant_density(drift, sigma, BarrierConfig.one_sided(0.0))
+
+
+_SUPPORT = [(builtin_drift(1), 0.2, 2.0), (builtin_drift(1), 1.0, 8.0),
+            (builtin_drift(2), 0.2, 2.0), (builtin_drift(2), 1.0, 16.0),
+            (builtin_drift(3), 0.2, 2.0), (builtin_drift(3), 1.0, 8.0),
+            (_const_drift(6.0), 0.2, 2.0), (_const_drift(6.0), 1.0, 4.0)]
+
+
+@pytest.mark.parametrize("drift, sigma, hi", _SUPPORT,
+                         ids=[f"{d.name}-{s}" for d, s, _ in _SUPPORT])
+def test_one_sided_support_hi_is_pinned(drift, sigma, hi):
+    # support_hi = l + 2^(j+1) for the first slab j whose mass and the next
+    # slab's are below 1e-10; the slabs up to the first one past support_hi
+    # are built by the tail test and kept
+    dens = invariant_density(drift, sigma, BarrierConfig.one_sided(0.0))
+    assert dens.support_hi == hi
+    m = math.frexp(hi)[1] - 1
+    assert sorted(dens.slabs) == list(range(m + 1))
 
 
 def test_stationarity_residual_small():
@@ -184,6 +217,9 @@ def test_sigma_eval_raises_where_mass_vanishes():
     dens = invariant_density(_const_drift(6.0), SIGMA, TWO_SIDED)
     with pytest.raises(UndefinedVarianceError):
         sigma_eval(dens, f_eval(dens, epanechnikov(0.005), 2.99))
+    for f in (-1.0, math.nan):
+        with pytest.raises(UndefinedVarianceError):
+            sigma_eval(dens, f)
 
 
 def _smooth(x):
@@ -194,7 +230,7 @@ def _case3_two_sided_g(x):
     # the uniform normalizer's integrand for case 3, two-sided, with a
     # 128-panel inner rule: it takes the same seven outer doublings as at
     # the default 1024 panels, at an eighth of the cost
-    return _unnormalized(builtin_drift(3), SIGMA, 0.0, x, 128)
+    return _direct_g(builtin_drift(3), SIGMA, x, 128)
 
 
 def _level_simpson(vals, width):
@@ -278,9 +314,8 @@ def test_inner_rule_blocks_stay_within_node_budget(panels):
     d = _raw(DriftSpec("recording", recording), panels)
     xs = np.linspace(0.0, 3.0, 61)
     inner_integral(d, xs)
-    pi_eval(d, xs)
     per_target = 2 * panels + 1
-    assert sum(sizes) == 2 * xs.size * per_target
+    assert sum(sizes) == xs.size * per_target
     if per_target > _NODE_BUDGET:
         assert set(sizes) == {per_target}
     else:
@@ -292,10 +327,14 @@ def test_inner_rule_blocks_stay_within_node_budget(panels):
 def test_case3_normalizer_stops_at_first_doubling(monkeypatch, barrier):
     # the graded map takes case 3's boundary layer and sqrt endpoint at the
     # first doubling of the default 1024 panels: 2 * 2048 + 1 outer nodes
-    # (a uniform rule needs 2 * 32768 + 1)
-    outer = []
+    # (a uniform rule needs 2 * 32768 + 1).  One-sided, the tail test's
+    # slabs are built first; the graded table is the last one built.
+    tables = []
 
     def counting(fn, start, settled):
+        outer = []
+        tables.append(outer)
+
         def fn_counted(s):
             outer.append(np.size(s))
             return fn(s)
@@ -303,7 +342,7 @@ def test_case3_normalizer_stops_at_first_doubling(monkeypatch, barrier):
 
     monkeypatch.setattr("refsde.density._doubled_table", counting)
     dens = invariant_density(builtin_drift(3), SIGMA, barrier)
-    assert sum(outer) == dens.inner_table.size == 2 * 2048 + 1
+    assert sum(tables[-1]) == dens.inner_table.size == 2 * 2048 + 1
 
 
 _ZS = [(builtin_drift(c), b) for c in (1, 2, 3)
@@ -325,7 +364,7 @@ def test_graded_normalizer_matches_uniform_rule(drift, barrier):
     dens = invariant_density(drift, SIGMA, barrier)
 
     def g(x):
-        return _unnormalized(drift, SIGMA, 0.0, x, 1024)
+        return _direct_g(drift, SIGMA, x)
 
     uniform = _converged(g, dens.support_hi, 1024)
     assert dens.normalizer == pytest.approx(uniform, rel=1e-10, abs=0.0)
@@ -343,8 +382,8 @@ def test_small_normalizer_is_relatively_accurate():
 
 
 def _f_oracle(d, k, x):
-    """F(x) by the 1024-panel Simpson r-rule over pi_eval: one inner rule
-    per node, as f_eval computed it before it read the table."""
+    """F(x) by the 1024-panel Simpson r-rule over the direct inner rule's
+    g / Z: one inner rule per node, reading none of the density's tables."""
     h = k.bandwidth
     r_lo = max(-1.0, (d.barrier.lower - x) / h)
     r_hi = 1.0
@@ -356,7 +395,8 @@ def _f_oracle(d, k, x):
     w = np.full(r.size, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    vals = np.asarray(k.fn(r)) * pi_eval(d, x + r * h)
+    vals = (np.asarray(k.fn(r)) * _direct_g(d.drift, d.sigma, x + r * h)
+            / d.normalizer)
     return max(float(vals @ w) / (6.0 * 1024) * (r_hi - r_lo), 0.0)
 
 
@@ -376,8 +416,8 @@ _ORACLE = [(d, s, TWO_SIDED)
                          ids=[f"{d.name}-{s}-{b.mode}" for d, s, b in _ORACLE])
 def test_f_eval_matches_the_pi_eval_rule(drift, sigma, barrier):
     # The table stops when c |dI| <= 1e-10 at the coarser level's fresh
-    # nodes, so each of f_eval's pi values is within about 1e-10 relative of
-    # pi_eval's, and F, a positive-weight sum of them, is too.
+    # nodes, so each pi value read from it is within about 1e-10 relative of
+    # the direct rule's, and F, a positive-weight sum of them, is too.
     k = epanechnikov(0.1)
     dens = invariant_density(drift, sigma, barrier)
     hi = dens.support_hi
@@ -389,19 +429,21 @@ def test_f_eval_matches_the_pi_eval_rule(drift, sigma, barrier):
     for x in xs:
         want = _f_oracle(dens, k, x)
         assert f_eval(dens, k, x) == pytest.approx(want, rel=1e-10, abs=0.0)
-    # pi_eval is unchanged: the inner rule's g over Z, and Z is bitwise the
-    # final level's fresh graded Simpson rule
+    # Z is bitwise the final level's fresh graded Simpson rule, and pi_eval
+    # is the direct rule's g over Z to the table's stop bound, on the
+    # graded table and, one-sided, on the slabs past support_hi
     width = hi - 0.0
 
     def graded(s):
-        return (_unnormalized(drift, sigma, 0.0, width * (s * s * (3.0 - 2.0 * s)),
-                              1024) * (6.0 * width * s * (1.0 - s)))
+        return (_direct_g(drift, sigma, width * (s * s * (3.0 - 2.0 * s)))
+                * (6.0 * width * s * (1.0 - s)))
 
     z = _fixed_simpson(graded, 0.0, 1.0, (dens.inner_table.size - 1) // 2)
     assert dens.normalizer == z
-    ys = np.linspace(0.0, hi, 41)
-    np.testing.assert_array_equal(
-        pi_eval(dens, ys), _unnormalized(drift, sigma, 0.0, ys, 1024) / z)
+    ys = np.linspace(0.0, hi if barrier.mode == "two_sided" else 4.0 * hi, 41)
+    np.testing.assert_allclose(pi_eval(dens, ys),
+                               _direct_g(drift, sigma, ys) / z,
+                               rtol=1e-10, atol=0.0)
 
 
 _STOP = [(DriftSpec("sin20x", lambda x: np.sin(20.0 * np.asarray(x, float))),
@@ -430,7 +472,8 @@ def test_table_meets_its_interpolation_bound_at_fresh_points(drift, barrier):
 
 
 def test_f_eval_runs_no_inner_rule():
-    # two-sided, F reads only the table; one-sided, a slab past support_hi
+    # two-sided, F and pi read only the table; one-sided, the tail test
+    # builds slabs 0 to m, the first past support_hi = 2^m, and a later slab
     # is built by the first target that reaches it and read after that
     calls = []
     base = builtin_drift(1)
@@ -445,22 +488,39 @@ def test_f_eval_runs_no_inner_rule():
     calls.clear()
     for x in np.linspace(0.0, 3.0, 31):
         f_eval(dens, k, float(x))
-    assert calls == []
-    dens = invariant_density(drift, SIGMA, BarrierConfig.one_sided(0.0))
-    calls.clear()
-    f_eval(dens, k, 1.0)
+    pi_eval(dens, np.linspace(0.0, 3.0, 31))
+    pi_eval(dens, 1.5)
     assert calls == [] and dens.slabs == {}
-    f_eval(dens, k, dens.support_hi + 0.05)
-    assert list(dens.slabs) == [0] and calls
+    dens = invariant_density(drift, SIGMA, BarrierConfig.one_sided(0.0))
+    hi = dens.support_hi
+    m = math.frexp(hi)[1] - 1
+    assert hi == 2.0 ** m and sorted(dens.slabs) == list(range(m + 1))
     calls.clear()
-    f_eval(dens, k, dens.support_hi + 0.5)
+    for x in (1.0, hi - 0.05, hi + 0.05, 2.0 * hi - 0.2):
+        f_eval(dens, k, x)
+    pi_eval(dens, np.array([1.0, hi + 0.05, 2.0 * hi - 0.01]))
+    assert calls == [] and sorted(dens.slabs) == list(range(m + 1))
+    f_eval(dens, k, 2.0 * hi + 0.05)
+    assert sorted(dens.slabs) == list(range(m + 2)) and calls
+    calls.clear()
+    f_eval(dens, k, 2.0 * hi + 0.5)
+    pi_eval(dens, 2.0 * hi + 0.3)
     assert calls == []
 
 
 def test_f_eval_rejects_non_finite_x():
-    dens = invariant_density(builtin_drift(2), SIGMA,
-                             BarrierConfig.one_sided(0.0))
+    # pi_eval also rejects a point outside the barrier domain, alone or
+    # inside an array
     k = epanechnikov(0.1)
-    for x in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            f_eval(dens, k, x)
+    for barrier, outside in [(BarrierConfig.one_sided(0.0), [-0.1]),
+                             (TWO_SIDED, [-0.1, 3.1])]:
+        dens = invariant_density(builtin_drift(2), SIGMA, barrier)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                f_eval(dens, k, x)
+            with pytest.raises(ValueError, match="finite"):
+                pi_eval(dens, x)
+        for x in outside:
+            for arg in (x, np.array([1.0, x])):
+                with pytest.raises(ValueError, match="barrier domain"):
+                    pi_eval(dens, arg)
