@@ -309,12 +309,18 @@ def _settled(coarse: np.ndarray, fine: np.ndarray, c: float) -> bool:
 
 def _slab(slabs: dict, j: int, lower: float, integral, c: float) -> np.ndarray:
     """I_P (integral(y)) on uniform nodes of [l + 2^j, l + 2^(j+1)], built
-    under the _settled check on first need and kept in slabs."""
+    under the _settled check on first need and kept in slabs.
+
+    Far out, a node's I_P may overflow to +inf (pi is 0 there) or be NaN
+    where the drift itself overflows (case 1's sin(2 pi y) past
+    y = 2.9e307) or the node does (l + 2^1024); both are kept, without a
+    floating-point warning, and `_table_integral` refuses a NaN it reads."""
     if j not in slabs:
         start = math.ldexp(1.0, j)
-        slabs[j] = _doubled_table(
-            lambda t: integral(lower + start * (1.0 + t)),
-            _SLAB_PANELS, lambda coarse, fine: _settled(coarse, fine, c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            slabs[j] = _doubled_table(
+                lambda t: integral(lower + start * (1.0 + t)),
+                _SLAB_PANELS, lambda coarse, fine: _settled(coarse, fine, c))
     return slabs[j]
 
 
@@ -324,7 +330,8 @@ def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
     On [l, support_hi] the closed-form inverse of y = l + W (3s^2 - 2s^3),
     s = 1/2 - sin(arcsin(1 - 2u) / 3) with u = (y - l) / W, locates y in
     inner_table; one-sided, y past support_hi is y - l = 2^j (1 + t) in
-    slab j.
+    slab j.  Raises ValueError where a value read is NaN: the drift
+    overflows there and pi is undefined (see _slab).
     """
     lower = d.barrier.lower
     u = np.maximum((y - lower) / (d.support_hi - lower), 0.0)
@@ -343,6 +350,9 @@ def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
         slab = _slab(d.slabs, e - 1, lower, lambda x: inner_integral(d, x), c)
         at = expo == e
         past[at] = _quintic(slab, (2.0 * mant[at] - 1.0) * (slab.size - 1))
+    if np.isnan(past).any():
+        raise ValueError("pi is undefined where the drift overflows: I_P is "
+                         f"NaN at y = {float(y[~inside][np.isnan(past)][0])!r}")
     out[~inside] = past
     return out
 
@@ -355,7 +365,8 @@ def _pi(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
 def pi_eval(d: InvariantDensity, x):
     """Density value(s) at x: exp(-(2/sigma^2) I_P(x)) / Z, I_P read from
     the density's tables (see _table_integral).  Raises ValueError for an x
-    that is not finite or lies outside the barrier domain."""
+    that is not finite or lies outside the barrier domain, or where the
+    drift overflows and I_P is NaN (one-sided case 1 at 1.7e308)."""
     xs = np.asarray(x, dtype=float)
     if not (np.isfinite(xs).all() and d.barrier.contains(xs)):
         raise ValueError("x must be finite and lie in the barrier domain")
@@ -371,7 +382,8 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
     The r-rule is Simpson with d.quad_panels panels, and each node's pi
     is pi_eval's, read from the density's tables: no drift is evaluated
     unless a one-sided target reaches a slab past the first one beyond
-    support_hi, which the tail test already built.
+    support_hi, which the tail test already built.  Raises pi_eval's
+    ValueError where the drift overflows.
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")

@@ -17,9 +17,11 @@ of states and of signed regulator increments dR - dL, plus the upper
 radicand terms two-sided, one column per path.  Each step's draws, the
 scaled normal sigma * (Z * sqrt(delta)) and the radicand terms
 2 sigma^2 delta ln U with U = 1 - Uniform[0, 1), wait in the slots that the
-step overwrites, so the records hold three floats per path-step.  Two
-kernels step them, with the same float operations in the same order, so
-each path is bitwise the same whichever steps it:
+step overwrites, so the records hold three floats per path-step.  Each
+path's stream fills its column with its raw draws, and one numpy pass over
+the whole batch's records (np.log for the radicand terms) transforms them.
+Two kernels step the records, with the same float operations in the same
+order, so each path is bitwise the same whichever steps it:
 
 - the scalar kernel, `_steps`, the one float loop: one column at a time,
   one block of Python floats at a time;
@@ -59,8 +61,8 @@ __all__ = [
 # domain exactly, so any overshoot beyond this is a genuine failure.
 _CLAMP = 1e-12
 
-# Steps per block of the draw transform and of the scalar kernel, which
-# hold one block's draws and records as Python floats (about 2 MB at 2**14
+# Steps per block of the stream draws and of the scalar kernel, which holds
+# one block's draws and records as Python floats (about 2 MB at 2**14
 # steps), so a long path's working set is its records.
 _BLOCK = 2**14
 # The fewest paths that the vector kernel steps clearly faster than the
@@ -170,41 +172,45 @@ def _records(cfg: SimConfig, rngs, total: int):
     two is nonzero); until step k writes them, they hold its scaled normals
     and its lower radicand terms, and qh[k - 1] its upper radicand terms.
     Row 0 holds the start and no increment.
+
+    `_draws` puts each path's Z and Uniform[0, 1) draws in its column; the
+    transforms then run once over the batch, in place on the contiguous
+    rows: the scaled normals sigma * (Z * sqrt(delta)) and the radicand
+    terms 2 sigma^2 delta ln U of `_bridge_max`, in its order, with
+    U = 1 - Uniform[0, 1) in (0, 1].  np.log is within one ulp of
+    `_bridge_max`'s math.log, and a value's np.log does not depend on where
+    it sits in the array, so a column's bits do not depend on the batch's
+    width (the tests pin both).
     """
     width = len(rngs)
     x = np.empty((total + 1, width))
     g = np.empty((total + 1, width))
     qh = np.empty((total, width)) if cfg.barrier.mode == "two_sided" else None
     for j, rng in enumerate(rngs):
-        _draws(cfg, rng, x[1:, j], g[1:, j], None if qh is None else qh[:, j])
+        _draws(rng, x[1:, j], g[1:, j], None if qh is None else qh[:, j])
+    s = x[1:]
+    s *= math.sqrt(cfg.delta)
+    s *= cfg.sigma
+    c = 2.0 * cfg.sigma * cfg.sigma * cfg.delta
+    for q in (g[1:],) if qh is None else (g[1:], qh):
+        np.subtract(1.0, q, out=q)
+        np.log(q, out=q)
+        q *= c
     x[0] = cfg.start
     g[0] = 0.0
     return x, g, qh
 
 
-def _draws(cfg: SimConfig, rng: np.random.Generator, s, q_lo, q_hi) -> None:
-    """Fill one path's draw slots s, q_lo and q_hi (None one-sided) from
-    ``rng``, one channel at a time: all normals, then all lower uniforms,
-    then all upper uniforms, taken and transformed one _BLOCK at a time.
-
-    s gets the scaled normals sigma * (Z * sqrt(delta)); q_lo and q_hi get
-    the radicand terms 2 sigma^2 delta ln U of `_bridge_max`, in its order,
-    with U = 1 - Uniform[0, 1) in (0, 1].  math.log, not np.log, whose last
-    bit differs on some inputs.
-    """
-    sqrt_delta = math.sqrt(cfg.delta)
-    c = 2.0 * cfg.sigma * cfg.sigma * cfg.delta
-    total = len(s)
-    for a in range(0, total, _BLOCK):
-        z = rng.standard_normal(min(_BLOCK, total - a))
-        z *= sqrt_delta
-        np.multiply(z, cfg.sigma, out=s[a:a + _BLOCK])
-    for q in (q_lo,) if q_hi is None else (q_lo, q_hi):
-        for a in range(0, total, _BLOCK):
-            u = rng.random(min(_BLOCK, total - a))
-            np.subtract(1.0, u, out=u)
-            u = np.fromiter(map(math.log, u.tolist()), float, len(u))
-            np.multiply(u, c, out=q[a:a + _BLOCK])
+def _draws(rng: np.random.Generator, z, u_lo, u_hi) -> None:
+    """Fill one path's draw slots from ``rng``, one channel at a time, one
+    _BLOCK at a time: all standard normals into z, then all Uniform[0, 1)
+    draws into u_lo, then into u_hi (None one-sided)."""
+    for slot, draw in ((z, rng.standard_normal), (u_lo, rng.random),
+                       (u_hi, rng.random)):
+        if slot is None:
+            break
+        for a in range(0, len(slot), _BLOCK):
+            slot[a:a + _BLOCK] = draw(min(_BLOCK, len(slot) - a))
 
 
 def _steps(cfg: SimConfig, x, g, qh) -> dict:

@@ -396,10 +396,11 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_module_entrypoint(tmp_path):
     out = tmp_path / "p.csv"
+    src = str(Path(refsde.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "refsde", "simulate", "--case", "1", "--n",
          "20", "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert out.exists()
     assert "refsde simulate:" in proc.stderr

@@ -1,6 +1,8 @@
 """Tests for the closed-form invariant density and its functionals."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -524,3 +526,24 @@ def test_f_eval_rejects_non_finite_x():
             for arg in (x, np.array([1.0, x])):
                 with pytest.raises(ValueError, match="barrier domain"):
                     pi_eval(dens, arg)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_far_one_sided_points_read_zero_or_refuse(case):
+    # at the largest floats I_P overflows to +inf, so pi and F are 0, unless
+    # the drift itself overflows there (case 1's sin(2 pi x) past 2.9e307):
+    # then pi is undefined and refused, never NaN, and no numpy warning shows
+    k = epanechnikov(0.1)
+    dens = invariant_density(builtin_drift(case), SIGMA,
+                             BarrierConfig.one_sided(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pi_eval(dens, 1e307) == f_eval(dens, k, 1e307) == 0.0
+        for x in (1.7e308, sys.float_info.max):
+            if case == 1:
+                with pytest.raises(ValueError, match="drift overflows"):
+                    pi_eval(dens, x)
+                with pytest.raises(ValueError, match="drift overflows"):
+                    f_eval(dens, k, x)
+            else:
+                assert pi_eval(dens, x) == f_eval(dens, k, x) == 0.0

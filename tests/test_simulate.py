@@ -232,17 +232,19 @@ def test_divergence_reports_step_index():
 
 
 # --- the pre-kernel stepping loop, kept as the byte-identity oracle ----------
-# A literal copy of the per-step `_advance` / `_bridge_max` loop that the flat
-# kernel replaced.  The kernel must reproduce it bit for bit.
+# A copy of the per-step `_advance` / `_bridge_max` loop that the flat kernel
+# replaced, with its radicand terms 2 sigma^2 delta ln U taken as
+# c * np.log(U) over the stream's whole uniform array, as the records take
+# them.  The kernel must reproduce it bit for bit.
 
-def _oracle_bridge_max(y, sigma, delta, u):
-    return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * math.log(u)))
+def _oracle_bridge_max(y, q):
+    return 0.5 * (y + math.sqrt(y * y - q))
 
 
-def _oracle_advance(state, b_x, sigma, delta, lower, upper, w, u_lo, u_hi):
+def _oracle_advance(state, b_x, sigma, delta, lower, upper, w, q_lo, q_hi):
     d = b_x * delta + sigma * w
     y = state + d
-    a_sup = _oracle_bridge_max(-d, sigma, delta, u_lo)
+    a_sup = _oracle_bridge_max(-d, q_lo)
     dl = a_sup - (state - lower)
     if dl > 0.0:
         dr = 0.0
@@ -252,7 +254,7 @@ def _oracle_advance(state, b_x, sigma, delta, lower, upper, w, u_lo, u_hi):
         dr = 0.0
         nxt = y
         if upper is not None:
-            b_sup = _oracle_bridge_max(d, sigma, delta, u_hi)
+            b_sup = _oracle_bridge_max(d, q_hi)
             dr = b_sup + (state - upper)
             if dr > 0.0:
                 nxt = y - dr
@@ -272,14 +274,17 @@ def _oracle_advance(state, b_x, sigma, delta, lower, upper, w, u_lo, u_hi):
 
 
 def _oracle_path(cfg):
-    """(x, l_reg, r_reg) of the pre-kernel `simulate_path`."""
+    """(x, l_reg, r_reg) of the pre-kernel `simulate_path`, its radicand
+    terms from np.log."""
     total = cfg.burn_in + cfg.n_steps
     rng = stream_rng(cfg.seed)
     sqrt_delta = math.sqrt(cfg.delta)
+    c = 2.0 * cfg.sigma * cfg.sigma * cfg.delta
     w = (rng.standard_normal(total) * sqrt_delta).tolist()
-    u_lo = (1.0 - rng.random(total)).tolist()
+    q_lo = (c * np.log(1.0 - rng.random(total))).tolist()
     two_sided = cfg.barrier.mode == "two_sided"
-    u_hi = (1.0 - rng.random(total)).tolist() if two_sided else [1.0] * total
+    q_hi = ((c * np.log(1.0 - rng.random(total))).tolist() if two_sided
+            else [0.0] * total)
     lower = cfg.barrier.lower
     upper = cfg.barrier.upper if two_sided else None
     x = np.empty(cfg.n_steps + 1)
@@ -291,7 +296,7 @@ def _oracle_path(cfg):
         for k in range(cfg.burn_in):
             state, _, _ = _oracle_advance(state, float(cfg.drift.fn(state)),
                                           cfg.sigma, cfg.delta, lower, upper,
-                                          w[k], u_lo[k], u_hi[k])
+                                          w[k], q_lo[k], q_hi[k])
         x[0] = state
         l_reg[0] = 0.0
         r_reg[0] = 0.0
@@ -301,7 +306,7 @@ def _oracle_path(cfg):
             k = cfg.burn_in + i
             state, dl, dr = _oracle_advance(state, float(cfg.drift.fn(state)),
                                             cfg.sigma, cfg.delta, lower, upper,
-                                            w[k], u_lo[k], u_hi[k])
+                                            w[k], q_lo[k], q_hi[k])
             cum_l += dl
             cum_r += dr
             x[i + 1] = state
@@ -348,12 +353,33 @@ def test_long_path_is_bitwise_the_oracle_across_blocks(mode):
 def test_pinned_path_is_bitwise_the_oracle(drift, mode):
     # a drift into a barrier reflects on nearly every step, so each step's
     # regulator increment is a bridge-maximum draw.  A transform of the
-    # uniforms that is off in the last bit (np.log for math.log) moves about
-    # one lower-barrier state in 10**4; at the upper barrier the state near 3
-    # is too coarse to keep those bits.
+    # uniforms that is off in the last bit (math.log, which differs from
+    # np.log in the last bit on about 0.35 % of uniforms) moves about one
+    # lower-barrier state in 10**4; at the upper barrier the state near 3 is
+    # too coarse to keep those bits.
     cfg = SimConfig(drift=_const_drift(drift), sigma=0.2,
                     barrier=_BARRIERS[mode], n_steps=20_000, delta=0.01, seed=3)
     _assert_matches_oracle(cfg)
+
+
+def test_radicand_terms_are_within_an_ulp_of_math_log():
+    # sigma 1 and delta 1/2 make c = 2 sigma^2 delta exactly 1, so the records
+    # hold np.log(U) itself; a two-sided batch of two paths of 2**18 + 5
+    # steps holds 1 048 596 uniforms
+    total = 2**18 + 5
+    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=TWO_SIDED,
+                    n_steps=total, delta=0.5)
+    seeds = (5, (2, 9))
+    x, g, qh = sim_module._records(cfg, [stream_rng(s) for s in seeds], total)
+    for j, seed in enumerate(seeds):
+        rng = stream_rng(seed)
+        z = rng.standard_normal(total)
+        assert np.array_equal(x[1:, j], 1.0 * (z * math.sqrt(0.5)))
+        for terms in (g[1:, j], qh[:, j]):
+            u = 1.0 - rng.random(total)
+            exact = np.fromiter(map(math.log, u.tolist()), float, total)
+            assert np.all(np.abs(terms - exact) <= np.spacing(np.abs(exact)))
+            assert np.array_equal(terms, np.log(u))
 
 
 @pytest.mark.parametrize("mode", sorted(_BARRIERS))
