@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KernelSpec, SamplePath
+from .model import BarrierConfig, KernelSpec, SamplePath
 from .simulate import write_csv
 
 __all__ = [
@@ -55,10 +55,17 @@ class EstimateResult:
         for name in ("grid", "values", "denominators", "undefined_mask",
                      "boundary_mask"):
             getattr(self, name).setflags(write=False)
-        if np.any(np.isfinite(self.values) == self.undefined_mask):
-            raise ValueError("values must be finite exactly off the undefined mask")
-        if np.any(self.denominators < 0.0):
-            raise ValueError("denominators must be nonnegative")
+        _check_estimate(self.values, self.undefined_mask, self.denominators)
+
+
+def _check_estimate(values, undefined, denominators) -> None:
+    """The checks of an estimate's values, undefined mask and denominators:
+    EstimateResult's, and the replication harness's on each column of a
+    batch, whose estimates it never wraps in an EstimateResult."""
+    if np.any(np.isfinite(values) == undefined):
+        raise ValueError("values must be finite exactly off the undefined mask")
+    if np.any(denominators < 0.0):
+        raise ValueError("denominators must be nonnegative")
 
 
 def kernel_eval(k: KernelSpec, t):
@@ -103,13 +110,14 @@ def _nw_core(obs: np.ndarray, incr: np.ndarray, dt: float, k: KernelSpec,
 
     Nonempty windows are taken in grid order and put into groups of at most
     _GROUP_PAIRS in-window pairs; a larger window is a group of its own.  A
-    group of several windows takes one pass: its pairs are gathered into
-    flat arrays, the kernel is called once, and np.add.reduceat sums each
-    window.  Empty windows stay out of the groups, because reduceat returns
-    the element at an empty segment's offset, not 0; their sums are 0
-    already.  A group of one window is summed from its slice of the sorted
-    arrays, since gathering it would only copy it.  The working set is O(n)
-    whatever the grid size.
+    group takes one pass: its pairs are gathered into flat arrays, the
+    kernel is called once, and np.add.reduceat sums each window.  Every
+    window is summed that way, a window alone in its group too, so a
+    point's value does not depend on the other grid points (a lone window's
+    w.sum() and w @ ds would add in another order).  Empty windows stay out
+    of the groups, because reduceat returns the element at an empty
+    segment's offset, not 0; their sums are 0 already.  The working set is
+    O(n) whatever the grid size.
     """
     h = k.bandwidth
     n = obs.shape[0]
@@ -127,24 +135,29 @@ def _nw_core(obs: np.ndarray, incr: np.ndarray, dt: float, k: KernelSpec,
         stop = max(start + 1, int(np.searchsorted(ends, done + _GROUP_PAIRS,
                                                   side="right")))
         g = full[start:stop]
-        if g.size == 1:
-            i = g[0]
-            a, b = lo[i], lo[i] + count[i]
-            w = kernel_eval(k, (xs[a:b] - grid[i]) / h) / h
-            sw[i] = w.sum()
-            num[i] = w @ ds[a:b]
-        else:
-            c = count[g]
-            first = np.cumsum(c) - c
-            idx = np.arange(ends[stop - 1] - done) + np.repeat(lo[g] - first, c)
-            w = kernel_eval(k, (xs[idx] - np.repeat(grid[g], c)) / h) / h
-            sw[g] = np.add.reduceat(w, first)
-            num[g] = np.add.reduceat(w * ds[idx], first)
+        c = count[g]
+        first = np.cumsum(c) - c
+        idx = np.arange(ends[stop - 1] - done) + np.repeat(lo[g] - first, c)
+        w = kernel_eval(k, (xs[idx] - np.repeat(grid[g], c)) / h) / h
+        sw[g] = np.add.reduceat(w, first)
+        num[g] = np.add.reduceat(w * ds[idx], first)
         start = stop
     values = np.full(grid.shape, np.nan)
     defined = sw > 0.0
     values[defined] = num[defined] / (dt * sw[defined])
     return values, sw / n
+
+
+def _nw_records(x, dl, dr, barrier: BarrierConfig, delta: float,
+               k: KernelSpec, grid: np.ndarray):
+    """(values, f_hat) of one path from its contiguous states x and its
+    regulator increments dl, dr: the increments dX - dL + dR (dR two-sided
+    only) of the observations x[:-1], through `_nw_core`.  Both estimators
+    and the replication harness's batch columns take this one route."""
+    incr = np.diff(x) - dl
+    if barrier.mode == "two_sided":
+        incr += dr
+    return _nw_core(x[:-1], incr, delta, k, grid)
 
 
 def _boundary_mask(path: SamplePath, grid: np.ndarray, h: float) -> np.ndarray:
@@ -155,26 +168,25 @@ def _boundary_mask(path: SamplePath, grid: np.ndarray, h: float) -> np.ndarray:
     return mask
 
 
-def _check_inputs(path: SamplePath, grid: np.ndarray) -> np.ndarray:
-    if path.x.shape[0] < 2:
+def _check_inputs(points: int, barrier: BarrierConfig, grid) -> np.ndarray:
+    """The estimation grid as a 1-d float array, for a path of ``points``
+    points in ``barrier``'s domain."""
+    if points < 2:
         raise ValueError("estimation needs a path with at least 2 points")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if not path.barrier.contains(grid):
+    if not barrier.contains(grid):
         raise ValueError("grid points must lie in the barrier domain")
     return grid
 
 
 def _estimate(path: SamplePath, k: KernelSpec, grid, estimator: str) -> EstimateResult:
-    grid = _check_inputs(path, grid)
+    grid = _check_inputs(path.x.shape[0], path.barrier, grid)
     # one copy of a batched path's strided column, read by every pass below
     x = np.ascontiguousarray(path.x)
-    obs = x[:-1]
-    incr = np.diff(x) - np.diff(path.l_reg)
-    if path.barrier.mode == "two_sided":
-        incr = incr + np.diff(path.r_reg)
-    values, f_hat = _nw_core(obs, incr, path.delta, k, grid)
+    values, f_hat = _nw_records(x, np.diff(path.l_reg), np.diff(path.r_reg),
+                                path.barrier, path.delta, k, grid)
     undefined = ~np.isfinite(values)
-    meta = {"n": int(obs.shape[0]), "delta": path.delta, "h": k.bandwidth,
+    meta = {"n": int(x.shape[0] - 1), "delta": path.delta, "h": k.bandwidth,
             "kernel": k.name, "estimator": estimator}
     return EstimateResult(grid=grid, values=values, denominators=f_hat,
                           undefined_mask=undefined,

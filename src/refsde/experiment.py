@@ -20,12 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .density import f_eval, invariant_density, sigma_eval
-from .estimate import (EstimateResult, bandwidth, delta_of_n, nw_continuous,
+from .estimate import (EstimateResult, _check_estimate, _check_inputs,
+                       _nw_records, bandwidth, delta_of_n, nw_continuous,
                        nw_discrete)
 from .model import (BarrierConfig, DriftSpec, SamplePath, Schedule,
-                    builtin_drift, epanechnikov, validate_schedule)
-from .simulate import (SimConfig, fine_config, simulate_fine, simulate_path,
-                       simulate_paths, write_csv)
+                    _check_path, builtin_drift, epanechnikov,
+                    validate_schedule)
+from .simulate import (SimConfig, _simulate, fine_config, simulate_fine,
+                       simulate_path, write_csv)
 
 __all__ = [
     "CellFailure",
@@ -203,10 +205,15 @@ def rase(est: EstimateResult, truth: DriftSpec) -> float:
     The average divides by the defined-point count, not the grid size, so
     excluded points neither zero terms nor dilute the error.
     """
-    defined = ~est.undefined_mask
+    return _rase(est.values, ~est.undefined_mask, truth(est.grid))
+
+
+def _rase(values, defined, truth) -> float:
+    """rase of the estimate values at the defined points, against the
+    truth values on the same grid."""
     if not defined.any():
         raise NoDataError("estimate undefined at every grid point")
-    err = est.values[defined] - truth(est.grid[defined])
+    err = values[defined] - truth[defined]
     return math.sqrt(float(np.mean(err * err)))
 
 
@@ -233,29 +240,27 @@ def _estimate(plan: ExperimentPlan, n: int, beta: float, path: SamplePath,
     return nw_discrete(path, k, grid)
 
 
-# A replication task is (plan, mode, n, beta, r) for a cell and
-# (plan, mode, n, beta, x0, r) for a point estimate.  These two hooks turn
-# one task and its simulated path into the replication's result.
+# A replication task is (plan, mode, n, beta, r).  _batch_worker estimates
+# each task's path on the grid of its _map_replications call; these two
+# hooks turn one task's estimate values there, and the truth there, into
+# the replication's result.
 
-def _cell_estimate(task, path):
+def _cell_score(task, values, truth):
     """(rase, excluded grid points) of one cell replication."""
-    plan, mode, n, beta, r = task
-    grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
-    est = _estimate(plan, n, beta, path, grid)
-    return rase(est, builtin_drift(plan.case_id)), int(est.undefined_mask.sum())
+    defined = np.isfinite(values)
+    return (_rase(values, defined, truth),
+            int(values.size - np.count_nonzero(defined)))
 
 
-def _point_estimate(task, path):
+def _point_score(task, values, truth):
     """The estimate at x0 of one normality replication (NaN if undefined)."""
-    plan, mode, n, beta, x0, r = task
-    est = _estimate(plan, n, beta, path, np.array([float(x0)]))
-    return float(est.values[0])
+    return float(values[0])
 
 
 def _task_config(task) -> SimConfig:
     """The config of the path the task's estimator reads: the observation
     grid's, or the fine grid's for the continuous estimator."""
-    plan, mode, n, beta, r = task[0], task[1], task[2], task[3], task[-1]
+    plan, mode, n, beta, r = task
     seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
     cfg = _sim_config(plan, mode, n, seed)
     if plan.estimator_type == "continuous":
@@ -281,7 +286,7 @@ def _batches(tasks) -> list[list[int]]:
     Tasks whose paths share every SimConfig field but the seed (the same
     plan, mode and n) form a group, taken in task order.  A group is cut
     into the fewest equal batches that each hold at most _BATCH_STEPS
-    path-steps; simulate_paths picks the kernel that steps a batch.
+    path-steps; `_simulate` picks the kernel that steps a batch.
     """
     groups: dict = {}
     for i, task in enumerate(tasks):
@@ -297,17 +302,46 @@ def _batches(tasks) -> list[list[int]]:
 
 
 def _batch_worker(job):
-    """Simulate one batch of replications and estimate each on its path.
+    """Simulate one batch of replications and score each on its column of
+    the batch's arrays, never wrapped in a SamplePath or an EstimateResult.
 
-    Returns one result per task, or the exception that task raised.
+    Once per batch: the grid's checks, the truth on the grid and one kernel
+    per beta.  Per column: the regulator increments, SamplePath's checks on
+    them (`_check_path`), the one NW route (`_nw_records`), EstimateResult's
+    checks (`_check_estimate`), and score(task, values, truth).  Returns one
+    result per task, or the exception that task raised: the same as
+    estimating the task's path from simulate_path (or simulate_fine) with
+    nw_discrete (or nw_continuous) and scoring that.
     """
-    estimate, tasks = job
+    score, grid, tasks = job
+    cfgs = [_task_config(t) for t in tasks]
     try:
-        paths = simulate_paths([_task_config(t) for t in tasks])
+        x, l_reg, r_reg, errors = _simulate(cfgs)
     except Exception as exc:
-        paths = [exc] * len(tasks)
-    return [p if isinstance(p, Exception) else _run_task(estimate, t, p)
-            for t, p in zip(tasks, paths)]
+        return [exc] * len(tasks)
+    cfg, n = cfgs[0], tasks[0][2]
+    try:
+        grid = _check_inputs(x.shape[0], cfg.barrier, grid)
+        truth = cfg.drift(grid)
+        kernels = {b: epanechnikov(bandwidth(n, b))
+                   for b in {t[3] for t in tasks}}
+    except Exception as exc:
+        return [errors.get(j, exc) for j in range(len(tasks))]
+    return [errors[j] if j in errors else
+            _run_task(_score_column, score, task, kernels[task[3]], cfg, grid,
+                      truth, x[:, j], l_reg[:, j], r_reg[:, j])
+            for j, task in enumerate(tasks)]
+
+
+def _score_column(score, task, k, cfg, grid, truth, x, l_reg, r_reg):
+    """score of one task's estimate from its column of the batch arrays."""
+    # one copy of the strided column, read by every pass below
+    x = np.ascontiguousarray(x)
+    dl, dr = np.diff(l_reg), np.diff(r_reg)
+    _check_path(x, dl, dr, cfg.barrier)
+    values, f_hat = _nw_records(x, dl, dr, cfg.barrier, cfg.delta, k, grid)
+    _check_estimate(values, ~np.isfinite(values), f_hat)
+    return score(task, values, truth)
 
 
 def _run_task(fn, *args):
@@ -317,20 +351,22 @@ def _run_task(fn, *args):
         return exc
 
 
-def _map_replications(estimate, tasks, threads):
+def _map_replications(score, tasks, grid, threads):
     """Results of the replication tasks, in task order, each computed by
-    estimate(task, path) on the task's simulated path.
+    score(task, values, truth) from the estimate values of the task's
+    simulated path on ``grid`` and the truth there (see _batch_worker).
 
     The unit of work is a batch (see _batches): same-config paths stepped
-    together by one simulate_paths call.  Batches go largest first to the
+    together by one `_simulate` call.  Batches go largest first to the
     workers, serially or in one pool, one batch at a time: a batch already
     holds up to _BATCH_STEPS path-steps, and chunks of several batches only
     leave one worker a longer tail (criterion 5's continuous half, 63
     batches on 2 workers, took 6.4 s in chunks of seven against 6.0 s one
     at a time; medians of five runs on a 2-vCPU VM).  Tasks hold only
     picklable primitives (plans, numbers, strings), and each carries its own
-    stream key, so neither the batching nor the partition into workers can
-    change any result.  A task that raises does not stop the others: its
+    stream key, and a column's estimate reads only its own column, so
+    neither the batching nor the partition into workers can change any
+    result.  A task that raises does not stop the others: its
     slot holds the exception in place of a result (see _checked).  One call
     builds at most one pool, so a command sends all its replications through
     one call; a worker process that dies raises BrokenProcessPool and ends
@@ -338,7 +374,7 @@ def _map_replications(estimate, tasks, threads):
     """
     batches = sorted(_batches(tasks),
                      key=lambda b: -len(b) * _path_steps(tasks[b[0]]))
-    jobs = [(estimate, [tasks[i] for i in b]) for b in batches]
+    jobs = [(score, grid, [tasks[i] for i in b]) for b in batches]
     if threads is None or threads <= 1 or len(jobs) <= 1:
         done = list(map(_batch_worker, jobs))
     else:
@@ -401,8 +437,9 @@ def run_cell(plan: ExperimentPlan, n: int, beta: float, *,
     cell_mode = plan.barrier_mode if mode is None else mode
     _check_cell(plan, cell_mode, n, beta)
     tasks = _cell_tasks(plan, cell_mode, n, beta)
+    grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
     return _summary(plan, cell_mode, n, beta,
-                    _map_replications(_cell_estimate, tasks, threads))
+                    _map_replications(_cell_score, tasks, grid, threads))
 
 
 def run_table(plan: ExperimentPlan, *, threads: int | None = None):
@@ -416,7 +453,8 @@ def run_table(plan: ExperimentPlan, *, threads: int | None = None):
     cells = [(n, beta, m) for n in plan.n_list for beta in plan.beta_list
              for m in plan.modes]
     tasks = [t for n, beta, m in cells for t in _cell_tasks(plan, m, n, beta)]
-    results = _map_replications(_cell_estimate, tasks, threads)
+    grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
+    results = _map_replications(_cell_score, tasks, grid, threads)
     reps = plan.n_replications
     summaries: list[McSummary] = []
     failures: list[CellFailure] = []
@@ -491,10 +529,9 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     dens = invariant_density(drift, sigma, barrier, quad_panels=quad_panels)
     sig2 = sigma_eval(dens, f_eval(dens, epanechnikov(h), float(x0)))
     scale = math.sqrt(n * h * delta) / math.sqrt(sig2)
-    tasks = [(plan, mode, int(n), float(beta), float(x0), r)
-             for r in range(1, n_replications + 1)]
-    estimates = np.array(_checked(
-        _map_replications(_point_estimate, tasks, threads)))
+    estimates = np.array(_checked(_map_replications(
+        _point_score, _cell_tasks(plan, mode, n, beta),
+        np.array([float(x0)]), threads)))
     kept = estimates[np.isfinite(estimates)]
     dropped = int(estimates.size - kept.size)
     if kept.size == 0:

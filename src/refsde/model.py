@@ -136,22 +136,37 @@ class SamplePath:
             raise ValueError("times must equal k*delta, k = 0..n")
         if self.l_reg[0] != 0.0 or self.r_reg[0] != 0.0:
             raise ValueError("regulators must start at 0")
-        if np.any(np.diff(self.l_reg) < 0.0) or np.any(np.diff(self.r_reg) < 0.0):
-            raise ValueError("regulators must be nondecreasing")
-        if not self.barrier.contains(self.x):
-            raise ValueError("states leave the barrier domain")
-        if self.barrier.mode == "one_sided_lower" and np.any(self.r_reg != 0.0):
-            raise ValueError("one-sided paths must have r_reg identically 0")
+        _check_path(self.x, np.diff(self.l_reg), np.diff(self.r_reg),
+                    self.barrier)
 
     @property
     def n_steps(self) -> int:
         return self.x.shape[0] - 1
 
 
+def _check_path(x, dl, dr, barrier: BarrierConfig) -> None:
+    """The checks of a path's states x and regulator increments dl, dr whose
+    regulators start at 0: SamplePath's, and the replication harness's on
+    each column of a batch that it never wraps in a SamplePath.
+
+    With both regulators starting at 0, R is identically 0 exactly when
+    every dr is 0.
+    """
+    if np.any(dl < 0.0) or np.any(dr < 0.0):
+        raise ValueError("regulators must be nondecreasing")
+    if not barrier.contains(x):
+        raise ValueError("states leave the barrier domain")
+    if barrier.mode == "one_sided_lower" and np.any(dr != 0.0):
+        raise ValueError("one-sided paths must have r_reg identically 0")
+
+
 def _epanechnikov(t):
+    # fmax, not maximum: it maps a NaN t to 0, as the kernel's support does
     t = np.asarray(t, dtype=float)
-    out = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
-    return float(out) if out.ndim == 0 else out
+    out = 0.75 * (1.0 - t * t)
+    if t.ndim == 0:
+        return float(np.fmax(out, 0.0))
+    return np.fmax(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ order, so each path is bitwise the same whichever steps it:
 - the vector kernel, `_vector_steps`: one drift call and one pass of array
   arithmetic per time index across all the columns.
 
-`simulate_paths` is the one way in: it steps a batch of at least _MIN_BATCH
+`_simulate` is the one way in: it steps a batch of at least _MIN_BATCH
 paths with the vector kernel and a narrower one with the scalar kernel, and
-`simulate_path` is its batch of one.  `_simulate` runs records, kernel and
-finish for both.
+hands back the finished batch arrays.  `simulate_paths` wraps their columns
+into SamplePaths, and `simulate_path` is its batch of one; the replication
+harness reads the arrays themselves.
 """
 from __future__ import annotations
 
@@ -157,8 +158,9 @@ def sample_sup_with_drift(drift_rate: float, sigma: float, delta: float,
 
 def _bridge_max(y: float, sigma: float, delta: float, u: float) -> float:
     # Inverse transform of the bridge-maximum law; ln(u) <= 0 so the radicand
-    # dominates y^2 and M >= max(0, y) always.
-    return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * math.log(u)))
+    # dominates y^2 and M >= max(0, y) always.  np.log, as the kernels'
+    # radicand terms take it, so that a step and this sampler agree bitwise.
+    return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * np.log(u)))
 
 
 def _records(cfg: SimConfig, rngs, total: int):
@@ -177,10 +179,9 @@ def _records(cfg: SimConfig, rngs, total: int):
     transforms then run once over the batch, in place on the contiguous
     rows: the scaled normals sigma * (Z * sqrt(delta)) and the radicand
     terms 2 sigma^2 delta ln U of `_bridge_max`, in its order, with
-    U = 1 - Uniform[0, 1) in (0, 1].  np.log is within one ulp of
-    `_bridge_max`'s math.log, and a value's np.log does not depend on where
-    it sits in the array, so a column's bits do not depend on the batch's
-    width (the tests pin both).
+    U = 1 - Uniform[0, 1) in (0, 1].  A value's np.log does not depend on
+    where it sits in the array, so a column's bits do not depend on the
+    batch's width (the tests pin it).
     """
     width = len(rngs)
     x = np.empty((total + 1, width))
@@ -308,34 +309,51 @@ def simulate_paths(cfgs) -> list:
     Returns one entry per config, in order: the SamplePath that
     simulate_path(cfg) returns, bit for bit, or the SimulationDivergedError
     (same message and step_index) that it would raise.  A failing path does
-    not stop the others.  Each path draws from its own stream, one column
-    of the records each.  A batch of at least _MIN_BATCH paths steps with
-    `_vector_steps`, one vector step per time index across the paths, and a
-    narrower one with `_steps`, path by path: the kernels give the same
-    bits, and a vector step's fixed cost of tens of microseconds pays only
-    for many paths.  A batch peaks at three floats per path-step, and the
-    returned paths are read-only column views of its arrays.
+    not stop the others.  The paths are the columns of `_simulate`'s batch
+    arrays: read-only views, each checked by SamplePath.
     """
     cfgs = list(cfgs)
     if not cfgs:
         return []
+    return _paths(cfgs, *_simulate(cfgs))
+
+
+def _paths(cfgs: list, x, l_reg, r_reg, errors: dict) -> list:
+    """The columns of `_simulate`'s arrays as SamplePaths of their configs,
+    or the errors that the kernel filed for them."""
     cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("batched configs may differ only in seed")
-    kernel = _vector_steps if len(cfgs) >= _MIN_BATCH else _steps
-    return _simulate(cfgs, kernel)
+    times = np.arange(cfg.n_steps + 1) * cfg.delta
+    return [errors[j] if j in errors else
+            SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times,
+                       x=x[:, j], l_reg=l_reg[:, j], r_reg=r_reg[:, j],
+                       seed=c.seed, barrier=cfg.barrier)
+            for j, c in enumerate(cfgs)]
 
 
-def _simulate(cfgs: list, kernel) -> list:
-    """The records of cfgs (which differ only in seed), stepped by
-    ``kernel``, then finished: each column as the SamplePath of its config,
-    or the error that the kernel filed for it.
+def _simulate(cfgs: list, kernel=None):
+    """Step the paths of a nonempty list of configs that differ only in
+    seed, all at once, and hand back the finished batch arrays.
+
+    Returns (x, l_reg, r_reg, errors): the states and the two regulators,
+    (n_steps + 1, R) each with one column per config, and {column:
+    SimulationDivergedError} for the paths that failed, whose columns mean
+    nothing.  Each path draws from its own stream, one column of the
+    records each.  A batch of at least _MIN_BATCH paths steps with
+    `_vector_steps`, one vector step per time index across the paths, and a
+    narrower one with `_steps`, path by path: the kernels give the same
+    bits, and a vector step's fixed cost of tens of microseconds pays only
+    for many paths (``kernel`` overrides the choice).  A batch peaks at
+    three floats per path-step.
 
     The finish drops the burn-in rows and sums the signed increments into
     the two regulators, L from max(-g, 0) and R from max(g, 0) in place of
     g.
     """
     cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("batched configs may differ only in seed")
+    if kernel is None:
+        kernel = _vector_steps if len(cfgs) >= _MIN_BATCH else _steps
     x, g, qh = _records(cfg, [stream_rng(c.seed) for c in cfgs],
                         cfg.burn_in + cfg.n_steps)
     errors = kernel(cfg, x, g, qh)
@@ -349,12 +367,7 @@ def _simulate(cfgs: list, kernel) -> list:
     # a sequential sum down each column: bitwise each column's own cumsum
     np.cumsum(l_reg, axis=0, out=l_reg)
     np.cumsum(r_reg, axis=0, out=r_reg)
-    times = np.arange(cfg.n_steps + 1) * cfg.delta
-    return [errors[j] if j in errors else
-            SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times,
-                       x=x[:, j], l_reg=l_reg[:, j], r_reg=r_reg[:, j],
-                       seed=c.seed, barrier=cfg.barrier)
-            for j, c in enumerate(cfgs)]
+    return x, l_reg, r_reg, errors
 
 
 def _vector_steps(cfg: SimConfig, x, g, qh) -> dict:

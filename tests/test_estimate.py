@@ -236,6 +236,27 @@ def test_estimate_depends_only_on_window_observations():
     assert a.values[0] == b.values[0]
 
 
+@pytest.mark.parametrize("n, beta", [(400, 0.3), (400, 0.15), (1600, 0.3),
+                                     (1600, 0.15)])
+def test_single_point_estimate_is_bitwise_its_grid_value(n, beta):
+    # every window is summed the same way, so a point's estimate and
+    # denominator do not depend on the other points of its grid (a window
+    # alone in its group was once summed by w.sum() and a BLAS dot)
+    grid = estimation_grid(0.0, 3.0, 60)
+    k = epanechnikov(bandwidth(n, beta))
+    for seed in range(3):
+        cfg = SimConfig(drift=builtin_drift(2), sigma=0.2, barrier=TWO_SIDED,
+                        n_steps=n, delta=delta_of_n(n), seed=(seed, n))
+        path = simulate_path(cfg)
+        whole = nw_discrete(path, k, grid)
+        assert not whole.undefined_mask.all()
+        for i in range(grid.size):
+            one = nw_discrete(path, k, grid[i:i + 1])
+            assert one.values.tobytes() == whole.values[i:i + 1].tobytes()
+            assert (one.denominators.tobytes()
+                    == whole.denominators[i:i + 1].tobytes())
+
+
 def test_continuous_at_refine_one_equals_discrete():
     cfg = SimConfig(drift=builtin_drift(3), sigma=0.2, barrier=TWO_SIDED,
                     n_steps=250, delta=0.02, seed=(9, 9))

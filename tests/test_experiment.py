@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from refsde import (
     NormalityReport,
     ReplicationError,
     SimConfig,
+    SimulationDivergedError,
     bandwidth,
     builtin_drift,
     curve,
@@ -25,11 +27,13 @@ from refsde import (
     epanechnikov,
     estimation_grid,
     normality_check,
+    nw_continuous,
     nw_discrete,
     rase,
     replication_seed,
     run_cell,
     run_table,
+    simulate_fine,
     simulate_path,
     write_curve_csv,
     write_normality_csv,
@@ -181,14 +185,37 @@ def test_median_is_bitwise_np_median(count):
         assert np.float64(got).tobytes() == np.median(values).tobytes()
 
 
+def _public_replication(plan, mode, n, beta, r, x0=None):
+    """Replication r of a cell through the public per-path pipeline: its
+    (rase, excluded grid points), or with x0 its estimate there, or the
+    exception that it raises."""
+    seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
+    cfg = SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
+                    barrier=plan.barrier_for(mode), n_steps=n,
+                    delta=delta_of_n(n), x0=plan.x0, seed=seed,
+                    burn_in=plan.burn_in)
+    k = epanechnikov(bandwidth(n, beta))
+    grid = (estimation_grid(plan.lower, plan.upper, plan.grid_count)
+            if x0 is None else [x0])
+    try:
+        if plan.estimator_type == "continuous":
+            est = nw_continuous(simulate_fine(cfg, plan.refine), k, grid)
+        else:
+            est = nw_discrete(simulate_path(cfg), k, grid)
+        if x0 is not None:
+            return float(est.values[0])
+        return (rase(est, builtin_drift(plan.case_id)),
+                int(est.undefined_mask.sum()))
+    except Exception as exc:
+        return exc
+
+
 def test_cell_summary_invariant_under_replication_order():
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=5, grid_count=20, base_seed=8)
     s = run_cell(plan, 60, 0.3)
-    tasks = [(plan, "two_sided", 60, 0.3, r) for r in range(5, 0, -1)]
-    per = [experiment._cell_estimate(
-        t, simulate_path(experiment._task_config(t)))[0]
-        for t in tasks]  # recompute in reverse order
+    per = [_public_replication(plan, "two_sided", 60, 0.3, r)[0]
+           for r in range(5, 0, -1)]  # recompute in reverse order
     assert s.rase_mean == pytest.approx(float(np.mean(per)), rel=1e-12)
     assert s.rase_median == pytest.approx(float(np.median(per)), rel=1e-12)
     assert s.rase_std == pytest.approx(float(np.std(per, ddof=1)), rel=1e-12)
@@ -212,7 +239,7 @@ def test_run_cell_needs_concrete_mode():
 
 @pytest.mark.parametrize("n, beta", [(1, 0.3), (40, 1.5)])
 def test_run_cell_rejects_bad_schedule_before_work(monkeypatch, n, beta):
-    monkeypatch.setattr(experiment, "_cell_estimate", None)  # must not run
+    monkeypatch.setattr(experiment, "_cell_score", None)  # must not run
     plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
                           n_replications=2, grid_count=10)
     with pytest.raises(ValueError):
@@ -262,14 +289,14 @@ def test_run_table_default_layout_is_eighteen_cells():
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, StopIteration])
 def test_replication_failure_reports_index(monkeypatch, exc_type):
-    real = experiment._cell_estimate
+    real = experiment._cell_score
 
-    def boom(task, path):
+    def boom(task, values, truth):
         if task[-1] == 2:
             raise exc_type("synthetic failure")
-        return real(task, path)
+        return real(task, values, truth)
 
-    monkeypatch.setattr(experiment, "_cell_estimate", boom)
+    monkeypatch.setattr(experiment, "_cell_score", boom)
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=3, grid_count=10, base_seed=2)
     with pytest.raises(ReplicationError,
@@ -288,26 +315,26 @@ def test_replication_failure_reports_index(monkeypatch, exc_type):
 _FOUR_CELLS = ExperimentPlan(case_id=2, barrier_mode="both", n_list=(40, 60),
                              beta_list=(0.3,), n_replications=3,
                              grid_count=10, base_seed=2)
-_REAL_CELL_ESTIMATE = experiment._cell_estimate
-_REAL_POINT_ESTIMATE = experiment._point_estimate
+_REAL_CELL_SCORE = experiment._cell_score
+_REAL_POINT_SCORE = experiment._point_score
 
 
 # Module-level hooks, so that pool processes can unpickle them.
-def _cell_estimate_failing_once(task, path):
+def _cell_score_failing_once(task, values, truth):
     if task[1:3] == ("two_sided", 60) and task[-1] == 2:
         raise RuntimeError("synthetic failure")
-    return _REAL_CELL_ESTIMATE(task, path)
+    return _REAL_CELL_SCORE(task, values, truth)
 
 
-def _point_estimate_failing_once(task, path):
+def _point_score_failing_once(task, values, truth):
     if task[-1] == 2:
         raise RuntimeError("synthetic failure")
-    return _REAL_POINT_ESTIMATE(task, path)
+    return _REAL_POINT_SCORE(task, values, truth)
 
 
 def _table_tasks(plan):
     return [t for n in plan.n_list for beta in plan.beta_list
-            for m in ("two_sided", "one_sided_lower")
+            for m in plan.modes
             for t in experiment._cell_tasks(plan, m, n, beta)]
 
 
@@ -334,19 +361,86 @@ def test_batches_cut_each_group_equally_under_the_budget():
         [sim_module._MIN_BATCH - 1] * 2  # one batch per barrier mode
 
 
-@pytest.mark.parametrize("estimator_type", ["discrete", "continuous"])
-def test_batched_replications_equal_replications_alone(estimator_type):
-    plan = ExperimentPlan(case_id=1, n_list=(60,), beta_list=(0.3, 0.2),
-                          n_replications=13, grid_count=30, base_seed=4,
-                          estimator_type=estimator_type, refine=3)
+_BASE_PLAN = dict(case_id=1, n_list=(60,), beta_list=(0.3, 0.2),
+                  n_replications=13, grid_count=30, base_seed=4, refine=3)
+# (plan, x0 of a point estimate or None for a cell, the kinds of result
+# that some replication must give)
+_BATCH_CASES = {
+    "discrete": (_BASE_PLAN, None, {tuple}),
+    "continuous": (dict(_BASE_PLAN, estimator_type="continuous"), None,
+                   {tuple}),
+    # bandwidths of 0.038 and 0.025 at three grid points: some paths put
+    # no observation in any window, and some none within h of x0
+    "normality": (dict(_BASE_PLAN, beta_list=(0.8, 0.9), grid_count=3,
+                       x0=1.0), 1.5, {float}),
+    "no_data": (dict(_BASE_PLAN, beta_list=(0.8, 0.9), grid_count=3,
+                     x0=1.0), None, {tuple, NoDataError}),
+    # the narrow domain of test_narrow_domain_batch_matches_paths_alone:
+    # some paths leave it beyond the clamp guard
+    "diverging": (dict(_BASE_PLAN, barrier_mode="two_sided",
+                       n_list=(500, 1000), sigma=1.0, upper=0.32), None,
+                  {tuple, SimulationDivergedError}),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BATCH_CASES))
+def test_batched_replications_equal_replications_alone(kind):
+    # each slot, a value or an exception, is the public pipeline's:
+    # rase of nw_discrete on simulate_path's path (nw_continuous on
+    # simulate_fine's), or the estimate at x0
+    kwargs, x0, kinds = _BATCH_CASES[kind]
+    plan = ExperimentPlan(**kwargs)
     tasks = _table_tasks(plan)
     assert max(map(len, experiment._batches(tasks))) == 26  # two betas
-    alone = [experiment._cell_estimate(
-        t, simulate_path(experiment._task_config(t))) for t in tasks]
-    assert experiment._map_replications(experiment._cell_estimate, tasks,
-                                        None) == alone
-    assert experiment._map_replications(experiment._cell_estimate, tasks,
-                                        2) == alone
+    with np.errstate(all="ignore"):
+        alone = [_public_replication(plan, *t[1:], x0=x0) for t in tasks]
+    assert {type(a) for a in alone} == kinds
+    if x0 is None:
+        score, grid = experiment._cell_score, estimation_grid(
+            plan.lower, plan.upper, plan.grid_count)
+    else:
+        score, grid = experiment._point_score, np.array([x0])
+        assert any(math.isnan(a) for a in alone)
+        assert not all(math.isnan(a) for a in alone)
+    for threads in (None, 2):
+        with np.errstate(all="ignore"):
+            got = experiment._map_replications(score, tasks, grid, threads)
+        for g, want in zip(got, alone, strict=True):
+            assert type(g) is type(want)
+            if isinstance(want, Exception):
+                assert str(g) == str(want)
+            elif x0 is None:
+                assert g == want
+            else:
+                assert np.float64(g).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("mode, bound", [("two_sided", 4.05),
+                                         ("one_sided_lower", 3.55)])
+def test_scored_batch_working_set(mode, bound):
+    # a batch of 60 paths of 1600 steps holds its states and both
+    # regulators (3 floats per path-step; upper radicand terms before that
+    # two-sided), and scores it column by column: one column's copies and
+    # one group of the NW core's in-window pairs come on top.  The bounds
+    # are the peaks of scoring through one SamplePath and EstimateResult
+    # per path (4.048 and 3.544, rounded up); batch-wide copies of the
+    # sorted observations and the increments would reach 6
+    plan = ExperimentPlan(case_id=1, barrier_mode=mode, n_list=(1600,),
+                          n_replications=20)
+    tasks = _table_tasks(plan)
+    grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
+    experiment._batch_worker((experiment._cell_score, grid, tasks[:2]))
+    tracemalloc.start()
+    try:
+        results = experiment._batch_worker((experiment._cell_score, grid,
+                                            tasks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tasks) == 60
+    assert all(type(r) is tuple for r in results)
+    per = peak / (len(tasks) * 1600 * 8)
+    assert per < bound, f"peak {per:.3f} floats per path-step"
 
 
 def test_run_table_builds_one_pool(built_pools):
@@ -359,8 +453,7 @@ def test_run_table_builds_one_pool(built_pools):
 
 def test_pooled_failure_is_filed_like_serial(monkeypatch):
     clean, _ = run_table(_FOUR_CELLS)
-    monkeypatch.setattr(experiment, "_cell_estimate",
-                        _cell_estimate_failing_once)
+    monkeypatch.setattr(experiment, "_cell_score", _cell_score_failing_once)
     serial = run_table(_FOUR_CELLS)
     summaries, failures = run_table(_FOUR_CELLS, threads=2)
     assert (summaries, failures) == serial
@@ -375,8 +468,7 @@ def test_pooled_failure_is_filed_like_serial(monkeypatch):
 def test_normality_failure_reports_index(monkeypatch, built_pools, threads):
     # the burn-in puts the four replications in two batches of two, so that
     # threads=2 runs them in a pool
-    monkeypatch.setattr(experiment, "_point_estimate",
-                        _point_estimate_failing_once)
+    monkeypatch.setattr(experiment, "_point_score", _point_score_failing_once)
     with pytest.raises(ReplicationError,
                        match="^replication 2: RuntimeError: synthetic failure$"):
         normality_check(2, 1.5, 400, 0.3, 4, 0, burn_in=40_000,
@@ -448,14 +540,14 @@ def test_normality_check_needs_concrete_mode_before_work(monkeypatch, mode):
 
 
 def test_normality_report_fields_and_dropped_counter(monkeypatch):
-    real = experiment._point_estimate
+    real = experiment._point_score
 
-    def patchy(task, path):
+    def patchy(task, values, truth):
         if task[-1] in (2, 5):
             return float("nan")
-        return real(task, path)
+        return real(task, values, truth)
 
-    monkeypatch.setattr(experiment, "_point_estimate", patchy)
+    monkeypatch.setattr(experiment, "_point_score", patchy)
     rep = normality_check(2, 1.5, 400, 0.3, 6, 123)
     assert isinstance(rep, NormalityReport)
     assert rep.dropped == 2
@@ -467,8 +559,8 @@ def test_normality_report_fields_and_dropped_counter(monkeypatch):
 
 
 def test_normality_all_dropped_raises(monkeypatch):
-    monkeypatch.setattr(experiment, "_point_estimate",
-                        lambda task, path: float("nan"))
+    monkeypatch.setattr(experiment, "_point_score",
+                        lambda task, values, truth: float("nan"))
     with pytest.raises(NoDataError):
         normality_check(2, 1.5, 400, 0.3, 3, 0)
 

@@ -145,6 +145,24 @@ def test_epanechnikov_symmetric_and_nonnegative(t):
     assert k.fn(t) >= 0.0
 
 
+def test_epanechnikov_is_bitwise_the_support_mask_form():
+    # 0.75 (1 - t^2) clipped by fmax is, bit for bit, the parabola inside
+    # |t| <= 1 and +0.0 outside (NaN included), the form it replaces
+    rng = np.random.default_rng(0)
+    t = np.concatenate([
+        rng.uniform(-1.2, 1.2, 10**6),
+        [1.0, -1.0, np.nextafter(1.0, np.inf), np.nextafter(1.0, -np.inf),
+         np.nextafter(-1.0, np.inf), np.nextafter(-1.0, -np.inf), 0.0, -0.0,
+         1e300, -1e300, np.inf, -np.inf, np.nan]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
+        got = epanechnikov(1.0).fn(t)
+        scalars = [epanechnikov(1.0).fn(v) for v in t[-13:].tolist()]
+    assert got.tobytes() == want.tobytes()
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == want[-13:].tobytes()
+
+
 def _path_arrays(n=4, delta=0.5):
     times = np.arange(n + 1) * delta
     x = np.linspace(1.0, 2.0, n + 1)

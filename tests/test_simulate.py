@@ -54,6 +54,21 @@ def test_sample_sup_tail_draw_value():
     assert m == pytest.approx(1.0, rel=1e-12)
 
 
+def test_sample_sup_is_bitwise_the_kernels_bridge_max():
+    # the stepping kernels take 0.5 (y + sqrt(y^2 - c ln U)), c = 2 sigma^2
+    # delta, with np.log over the records; the sampler must give the same
+    # bits (math.log differs from np.log in the last bit on some uniforms)
+    rate, sigma, delta = 0.1, 0.2, 0.01
+    u = 1.0 - np.random.default_rng(21).random(100_000)
+    y = rate * delta + sigma * 0.0
+    c = 2.0 * sigma * sigma * delta
+    want = 0.5 * (y + np.sqrt(y * y - c * np.log(u)))
+    got = [sample_sup_with_drift(rate, sigma, delta, 0.0, v)
+           for v in u.tolist()]
+    assert all(type(m) is float for m in got)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("args", [
     (0.0, 1.0, 1.0, 0.0, 0.0),        # u = 0
     (0.0, 1.0, 1.0, 0.0, 1.5),        # u > 1
@@ -441,6 +456,11 @@ def test_simulate_path_working_set_is_linear():
 _KERNELS = (sim_module._steps, sim_module._vector_steps)
 
 
+def _batch(cfgs, kernel):
+    """simulate_paths(cfgs), stepped by the given kernel."""
+    return sim_module._paths(cfgs, *sim_module._simulate(cfgs, kernel))
+
+
 @pytest.mark.parametrize("width, kernel", [
     (sim_module._MIN_BATCH, "_vector_steps"),
     (sim_module._MIN_BATCH - 1, "_steps"),
@@ -466,7 +486,7 @@ def test_step_at_most_one_regulator_fires():
                 n_steps=2000)
     cfgs = [replace(base, seed=s) for s in range(20)]
     for kernel in _KERNELS:
-        paths = sim_module._simulate(cfgs, kernel)
+        paths = _batch(cfgs, kernel)
         dl = np.array([np.diff(p.l_reg) for p in paths])
         dr = np.array([np.diff(p.r_reg) for p in paths])
         assert not np.any((dl > 0.0) & (dr > 0.0))
@@ -475,7 +495,7 @@ def test_step_at_most_one_regulator_fires():
 
 def _assert_batch_matches_oracle(cfgs):
     for kernel in _KERNELS:
-        paths = sim_module._simulate(cfgs, kernel)
+        paths = _batch(cfgs, kernel)
         for cfg, p in zip(cfgs, paths, strict=True):
             x, l_reg, r_reg = _oracle_path(cfg)
             assert np.array_equal(p.x, x)
@@ -518,7 +538,7 @@ def _assert_batch_matches_alone(cfgs):
                 alone.append(e)
     for kernel in _KERNELS:
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = sim_module._simulate(cfgs, kernel)
+            batch = _batch(cfgs, kernel)
         for want, got in zip(alone, batch, strict=True):
             assert type(got) is type(want)
             if isinstance(want, SimulationDivergedError):
@@ -604,7 +624,7 @@ def test_batched_paths_are_read_only(mode):
                      burn_in=5)
     cfgs = [replace(base, seed=s) for s in _BATCH_SEEDS]
     for kernel in _KERNELS:
-        for p in sim_module._simulate(cfgs, kernel):
+        for p in _batch(cfgs, kernel):
             for arr in (p.times, p.x, p.l_reg, p.r_reg):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
