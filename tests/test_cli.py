@@ -1,5 +1,6 @@
 """Tests for the command-line interface: parsing, config files, runners."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -392,6 +393,85 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.startswith("# seed=0\ncase,x0,n,beta,mean_z")
     assert proc.stderr.splitlines()[0] == "[]"
     assert proc.stderr.splitlines()[-1] == "[] 0"
+
+
+def _fresh(code):
+    """Run python -c code with the checkout's src on the path."""
+    src = str(Path(refsde.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_process_pool_is_imported_only_where_one_is_built(tmp_path):
+    # concurrent.futures pulls in multiprocessing, socket and logging; a
+    # command that builds no pool must not pay for their import
+    pool_loaded = "'concurrent.futures.process' in sys.modules"
+    density = _fresh(
+        f"import sys, refsde.cli; print({pool_loaded}, file=sys.stderr); "
+        "rc = refsde.cli.main(['density', '--case', '3', '--grid', '5', "
+        f"'--out', {str(tmp_path / 'd.csv')!r}]); "
+        f"print({pool_loaded}, rc, file=sys.stderr)")
+    assert density.returncode == 0, density.stderr
+    assert density.stderr.splitlines()[0] == "False"
+    assert density.stderr.splitlines()[-1] == "False 0"
+    # two (mode, n) groups are two batches, so --threads 2 builds a pool
+    pooled = _fresh(
+        "import sys, refsde.cli; "
+        "rc = refsde.cli.main(['experiment', '--case', '1', '--mode', "
+        "'two-sided', '--n-list', '40,60', '--beta-list', '0.3', '--reps', "
+        "'2', '--grid', '10', '--threads', '2', "
+        f"'--out', {str(tmp_path / 't.csv')!r}]); "
+        f"print({pool_loaded}, rc, file=sys.stderr)")
+    assert pooled.returncode == 0, pooled.stderr
+    assert pooled.stderr.splitlines()[-1] == "True 0"
+
+
+def test_normality_stdout_is_whole_at_exit(tmp_path):
+    # block-buffered stdout is flushed at interpreter exit, after main froze
+    # the heap
+    out = tmp_path / "norm.csv"
+    argv = _NORM + ["--seed", "4", "--threads", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(refsde.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "refsde", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_text()
+    assert len(proc.stdout.splitlines()) == 3
+
+
+def test_density_file_holds_every_grid_row(tmp_path):
+    out = tmp_path / "d.csv"
+    proc = _fresh("import sys, refsde.cli; sys.exit(refsde.cli.main(["
+                  "'density', '--case', '3', '--grid', '30', '--mode', "
+                  f"'one-sided', '--out', {str(out)!r}]))")
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["# seed=0", "x,pi,f,sigma_asym"]
+    assert len(lines) == 32
+    assert all(len(line.split(",")) == 4 for line in lines[2:])
+
+
+def test_rejected_value_in_fresh_process_exits_two(tmp_path):
+    out = tmp_path / "d.csv"
+    proc = _fresh("import sys, refsde.cli; sys.exit(refsde.cli.main(["
+                  f"'density', '--case', '3', '--grid', '0', '--out', "
+                  f"{str(out)!r}]))")
+    assert proc.returncode == 2
+    assert proc.stderr == "refsde density: error: count must be positive\n"
+    assert not out.exists()
+
+
+def test_repeated_in_process_runs_are_identical(tmp_path):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["density", "--case", "3", "--grid", "20", "--out",
+                     str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # main froze the heap it started with and left the collector on
+    assert gc.get_freeze_count() > 0
+    assert gc.isenabled()
 
 
 def test_module_entrypoint(tmp_path):

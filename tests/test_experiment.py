@@ -148,15 +148,15 @@ def test_run_cell_matches_hand_statistics():
 
 @pytest.fixture
 def built_pools(monkeypatch):
-    """The keyword arguments of every process pool built from here on."""
+    """The worker count of every process pool built from here on."""
     built = []
+    process_pool = experiment._process_pool
 
-    class CountingPool(experiment.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs)
-            super().__init__(*args, **kwargs)
+    def counting_pool(workers):
+        built.append(workers)
+        return process_pool(workers)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiment, "_process_pool", counting_pool)
     return built
 
 
@@ -474,6 +474,18 @@ def test_normality_failure_reports_index(monkeypatch, built_pools, threads):
         normality_check(2, 1.5, 400, 0.3, 4, 0, burn_in=40_000,
                         threads=threads)
     assert len(built_pools) == (threads == 2)
+
+
+def test_pool_has_no_more_workers_than_batches(built_pools):
+    # six replications in two batches of three: threads=4 builds a pool of
+    # two workers, not four of which two would sit idle
+    plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
+                          n_replications=6, grid_count=25, base_seed=5,
+                          burn_in=40_000)
+    serial = run_cell(plan, 80, 0.3)
+    assert built_pools == []
+    assert run_cell(plan, 80, 0.3, threads=4) == serial
+    assert built_pools == [2]
 
 
 def test_curve_rows_and_determinism():
