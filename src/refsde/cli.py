@@ -51,8 +51,6 @@ class RunConfig:
 
     subcommand: str
     params: dict
-    out: str | None
-    seed: int | None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -105,7 +103,8 @@ _FLAGS = {
 
 _REQUIRED = object()
 _TWO_MODES = ("two-sided", "one-sided")
-_MODEL = {"sigma": 0.2, "mode": _TWO_MODES, "lower": 0.0, "upper": 3.0}
+_DOMAIN = {"mode": _TWO_MODES, "lower": 0.0, "upper": 3.0}
+_MODEL = {"sigma": 0.2, **_DOMAIN}
 
 # subcommand -> {dest: default, _REQUIRED, or a tuple of choices whose first is
 # the default}.  None means "derived later" or "optional"; a string default
@@ -116,7 +115,7 @@ _SPECS: dict[str, dict] = {
                  "out": _REQUIRED},
     "density": {"case": _REQUIRED, **_MODEL, "grid": 300, "h": 0.1,
                 "quad_panels": 1024, "seed": 0, "out": _REQUIRED},
-    "estimate": {"in_path": _REQUIRED, **_MODEL, "h": 0.1,
+    "estimate": {"in_path": _REQUIRED, **_DOMAIN, "h": 0.1,
                  "type": ("discrete", "continuous"), "grid_min": None,
                  "grid_max": None, "grid_count": 300, "out": _REQUIRED},
     "experiment": {"case": _REQUIRED, **_MODEL,
@@ -211,8 +210,7 @@ def parse(argv=None) -> RunConfig:
     ns = parser.parse_args(argv)
     params = {dest: getattr(ns, dest) for dest in _SPECS[ns.subcommand]}
     params["mode"] = _MODE_NAMES[params["mode"]]
-    return RunConfig(subcommand=ns.subcommand, params=params,
-                     out=params.get("out"), seed=params.get("seed"))
+    return RunConfig(subcommand=ns.subcommand, params=params)
 
 
 def _write_guard(out_path, write_fn):
@@ -267,8 +265,7 @@ def _run_estimate(params: dict):
         else params["upper"]
     grid = estimation_grid(lo, hi, params["grid_count"])
     kern = epanechnikov(params["h"])
-    path = read_path_csv(params["in_path"], sigma=params["sigma"],
-                         barrier=barrier)
+    path = read_path_csv(params["in_path"], barrier=barrier)
     estimator = nw_continuous if params["type"] == "continuous" \
         else nw_discrete
     result = estimator(path, kern, grid)

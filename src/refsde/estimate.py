@@ -24,7 +24,6 @@ __all__ = [
     "EstimateResult",
     "bandwidth",
     "delta_of_n",
-    "kernel_eval",
     "nw_continuous",
     "nw_discrete",
     "write_estimate_csv",
@@ -66,12 +65,6 @@ def _check_estimate(values, undefined, denominators) -> None:
         raise ValueError("values must be finite exactly off the undefined mask")
     if np.any(denominators < 0.0):
         raise ValueError("denominators must be nonnegative")
-
-
-def kernel_eval(k: KernelSpec, t):
-    """Evaluate the base kernel; k.fn is already 0 outside [-1,1]."""
-    out = np.asarray(k.fn(np.asarray(t, dtype=float)))
-    return float(out) if out.ndim == 0 else out
 
 
 def bandwidth(n: int, beta: float) -> float:
@@ -138,7 +131,7 @@ def _nw_core(obs: np.ndarray, incr: np.ndarray, dt: float, k: KernelSpec,
         c = count[g]
         first = np.cumsum(c) - c
         idx = np.arange(ends[stop - 1] - done) + np.repeat(lo[g] - first, c)
-        w = kernel_eval(k, (xs[idx] - np.repeat(grid[g], c)) / h) / h
+        w = k.fn((xs[idx] - np.repeat(grid[g], c)) / h) / h
         sw[g] = np.add.reduceat(w, first)
         num[g] = np.add.reduceat(w * ds[idx], first)
         start = stop

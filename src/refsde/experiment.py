@@ -1,5 +1,5 @@
-"""Monte Carlo harness: RASE replication cells, tables, curves, and a
-normality self-check for the drift estimators.
+"""Monte Carlo harness: RASE replication cells, tables, and a normality
+self-check for the drift estimators.
 
 A cell is one (case, barrier mode, n, beta) combination.  Every replication
 draws from its own counter-based RNG stream keyed by
@@ -7,8 +7,8 @@ draws from its own counter-based RNG stream keyed by
     (base_seed, case, mode index, n, round(beta*1e6), r),   r = 1..N,
 
 so results are bit-identical no matter how replications are ordered,
-batched or split across worker processes.  Slot r=0 is reserved for
-single-path curves and never collides with a replication.
+batched or split across worker processes.  Slot r=0 is reserved: no
+replication draws from it.
 """
 from __future__ import annotations
 
@@ -20,13 +20,13 @@ import numpy as np
 
 from .density import f_eval, invariant_density, sigma_eval
 from .estimate import (EstimateResult, _check_estimate, _check_inputs,
-                       _nw_records, bandwidth, delta_of_n, nw_continuous,
-                       nw_discrete)
-from .model import (BarrierConfig, DriftSpec, SamplePath, Schedule,
-                    _check_path, builtin_drift, epanechnikov,
-                    validate_schedule)
-from .simulate import (SimConfig, _simulate, fine_config, simulate_fine,
-                       simulate_path, write_csv)
+                       _nw_records, bandwidth, delta_of_n)
+from .model import (BarrierConfig, DriftSpec, Schedule, _check_path,
+                    builtin_drift, epanechnikov, validate_schedule)
+from .simulate import SimConfig, _simulate, fine_config, write_csv
+# unused here; bench/traced.py wraps these four names on this module
+from .estimate import nw_continuous, nw_discrete  # noqa: F401
+from .simulate import simulate_fine, simulate_path  # noqa: F401
 
 __all__ = [
     "CellFailure",
@@ -35,14 +35,12 @@ __all__ = [
     "NoDataError",
     "NormalityReport",
     "ReplicationError",
-    "curve",
     "estimation_grid",
     "normality_check",
     "rase",
     "replication_seed",
     "run_cell",
     "run_table",
-    "write_curve_csv",
     "write_normality_csv",
     "write_summary_csv",
 ]
@@ -64,7 +62,7 @@ def _beta_key(beta: float) -> int:
 
 def replication_seed(base_seed: int, case_id: int, mode: str, n: int,
                      beta: float, r: int) -> tuple[int, ...]:
-    """Stream key for replication r of a cell (r=0 is the curve slot)."""
+    """Stream key for replication r = 1..N of a cell (r=0 is reserved)."""
     return (int(base_seed), int(case_id), _MODE_INDEX[mode], int(n),
             _beta_key(beta), int(r))
 
@@ -155,11 +153,6 @@ class McSummary:
         if self.n_replications <= 0:
             raise ValueError("n_replications must be positive")
 
-    @property
-    def rase_stderr(self) -> float:
-        """Standard error of rase_mean: sample std over sqrt(N)."""
-        return self.rase_std / math.sqrt(self.n_replications)
-
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -229,14 +222,6 @@ def _check_cell(plan: ExperimentPlan, mode: str, n: int, beta: float) -> None:
     they reject fails here, before any replication runs."""
     fine_config(_sim_config(plan, mode, n, 0), plan.refine)
     bandwidth(n, beta)
-
-
-def _estimate(plan: ExperimentPlan, n: int, beta: float, path: SamplePath,
-              grid) -> EstimateResult:
-    k = epanechnikov(bandwidth(n, beta))
-    if plan.estimator_type == "continuous":
-        return nw_continuous(path, k, grid)
-    return nw_discrete(path, k, grid)
 
 
 # A replication task is (plan, mode, n, beta, r).  _batch_worker estimates
@@ -482,26 +467,6 @@ def run_table(plan: ExperimentPlan, *, threads: int | None = None):
     return summaries, failures
 
 
-def curve(plan: ExperimentPlan, n: int, beta: float, seed: int):
-    """One replication's estimate next to the truth on the full grid.
-
-    Returns rows (x, estimate-or-None, truth).  Draws come from the r=0
-    stream slot under the given seed, so a curve never shares its driver
-    with any run_cell replication.
-    """
-    cell_mode = plan.barrier_mode
-    plan.barrier_for(cell_mode)  # rejects "both" before replication_seed
-    grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
-    key = replication_seed(seed, plan.case_id, cell_mode, n, beta, 0)
-    cfg = _sim_config(plan, cell_mode, int(n), key)
-    path = (simulate_fine(cfg, plan.refine)
-            if plan.estimator_type == "continuous" else simulate_path(cfg))
-    est = _estimate(plan, int(n), float(beta), path, grid)
-    truth = builtin_drift(plan.case_id)(grid)
-    return [(float(x), None if bad else float(v), float(t))
-            for x, v, t, bad in zip(grid, est.values, truth, est.undefined_mask)]
-
-
 def normality_check(case_id: int, x0: float, n: int, beta: float,
                     n_replications: int, base_seed: int, *,
                     sigma: float = 0.2, mode: str = "two_sided",
@@ -589,8 +554,3 @@ def write_normality_csv(report: NormalityReport, out_path,
               "case,x0,n,beta,mean_z,var_z,ks_stat,dropped",
               [(r.case_id, r.x0, r.n, r.beta, r.mean_z, r.var_z, r.ks_stat,
                 r.dropped)])
-
-
-def write_curve_csv(rows, out_path, seed: int) -> None:
-    """Estimator-vs-truth CSV `x,estimate,truth`; undefined estimates empty."""
-    write_csv(out_path, int(seed), "x,estimate,truth", rows)

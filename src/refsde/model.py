@@ -105,14 +105,13 @@ class BarrierConfig:
 class SamplePath:
     """Regular-grid record (t_k, X_{t_k}, L_{t_k}, R_{t_k}) plus metadata.
 
-    Times are t_k = k*delta for k = 0..n.  Regulators start at 0 and are
-    nondecreasing; r_reg is identically 0 in one-sided mode.  ``seed`` is the
-    RNG stream key used to generate the path (an int or a tuple of ints).
+    Times are t_k = k*delta for k = 0..n, so they are derived, not stored.
+    Regulators start at 0 and are nondecreasing; r_reg is identically 0 in
+    one-sided mode.  ``seed`` is the RNG stream key used to generate the
+    path (an int or a tuple of ints).
     """
 
     delta: float
-    sigma: float
-    times: np.ndarray
     x: np.ndarray
     l_reg: np.ndarray
     r_reg: np.ndarray
@@ -122,18 +121,13 @@ class SamplePath:
     def __post_init__(self) -> None:
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be nonnegative and finite")
         n = self.x.shape[0]
-        for name in ("times", "x", "l_reg", "r_reg"):
-            arr = getattr(self, name)
+        for arr in (self.x, self.l_reg, self.r_reg):
             if arr.ndim != 1 or arr.shape[0] != n:
                 raise ValueError("path arrays must be 1-d and equal length")
             arr.setflags(write=False)  # immutable-by-convention
         if n == 0:
             raise ValueError("path must contain at least one grid point")
-        if not np.array_equal(self.times, np.arange(n) * self.delta):
-            raise ValueError("times must equal k*delta, k = 0..n")
         if self.l_reg[0] != 0.0 or self.r_reg[0] != 0.0:
             raise ValueError("regulators must start at 0")
         _check_path(self.x, np.diff(self.l_reg), np.diff(self.r_reg),
@@ -142,6 +136,13 @@ class SamplePath:
     @property
     def n_steps(self) -> int:
         return self.x.shape[0] - 1
+
+    @property
+    def times(self) -> np.ndarray:
+        """t_k = k*delta, k = 0..n, as a read-only array."""
+        t = np.arange(self.x.shape[0]) * self.delta
+        t.setflags(write=False)
+        return t
 
 
 def _check_path(x, dl, dr, barrier: BarrierConfig) -> None:

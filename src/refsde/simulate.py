@@ -48,7 +48,6 @@ __all__ = [
     "SimConfig",
     "SimulationDivergedError",
     "fine_config",
-    "sample_sup_with_drift",
     "simulate_fine",
     "simulate_path",
     "simulate_paths",
@@ -135,34 +134,6 @@ class SimConfig:
         return b.lower + 1.0
 
 
-def sample_sup_with_drift(drift_rate: float, sigma: float, delta: float,
-                          w_increment: float, uniform: float) -> float:
-    """Sample the running supremum over one step of drift_rate*s + sigma*W_s,
-    conditioned on the endpoint displacement y = drift_rate*delta + sigma*w.
-
-    Returns M >= max(0, y).  ``uniform`` must lie in (0, 1]; uniform = 1 gives
-    the almost-sure lower envelope max(0, y).
-    """
-    vals = (drift_rate, sigma, delta, w_increment, uniform)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError("non-finite input to sample_sup_with_drift")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if not 0.0 < uniform <= 1.0:
-        raise ValueError("uniform must lie in (0, 1]")
-    y = drift_rate * delta + sigma * w_increment
-    return _bridge_max(y, sigma, delta, uniform)
-
-
-def _bridge_max(y: float, sigma: float, delta: float, u: float) -> float:
-    # Inverse transform of the bridge-maximum law; ln(u) <= 0 so the radicand
-    # dominates y^2 and M >= max(0, y) always.  np.log, as the kernels'
-    # radicand terms take it, so that a step and this sampler agree bitwise.
-    return 0.5 * (y + math.sqrt(y * y - 2.0 * sigma * sigma * delta * np.log(u)))
-
-
 def _records(cfg: SimConfig, rngs, total: int):
     """The records of ``total`` steps of one path per generator in ``rngs``,
     its draws in place: the one layout both kernels step.
@@ -178,10 +149,9 @@ def _records(cfg: SimConfig, rngs, total: int):
     `_draws` puts each path's Z and Uniform[0, 1) draws in its column; the
     transforms then run once over the batch, in place on the contiguous
     rows: the scaled normals sigma * (Z * sqrt(delta)) and the radicand
-    terms 2 sigma^2 delta ln U of `_bridge_max`, in its order, with
-    U = 1 - Uniform[0, 1) in (0, 1].  A value's np.log does not depend on
-    where it sits in the array, so a column's bits do not depend on the
-    batch's width (the tests pin it).
+    terms 2 sigma^2 delta ln U, with U = 1 - Uniform[0, 1) in (0, 1].  A
+    value's np.log does not depend on where it sits in the array, so a
+    column's bits do not depend on the batch's width (the tests pin it).
     """
     width = len(rngs)
     x = np.empty((total + 1, width))
@@ -292,8 +262,8 @@ def simulate_path(cfg: SimConfig) -> SamplePath:
     draws are taken per channel (normals, then lower uniforms, then upper
     uniforms), not step by step.  The working set is the records: states,
     signed increments and upper radicand terms while the path steps, then
-    states, both regulators and the times, plus one block of at most _BLOCK
-    steps as Python floats.  A failing step raises its
+    states and both regulators, plus one block of at most _BLOCK steps as
+    Python floats.  A failing step raises its
     SimulationDivergedError.
     """
     path, = simulate_paths([cfg])
@@ -319,14 +289,13 @@ def simulate_paths(cfgs) -> list:
 
 
 def _paths(cfgs: list, x, l_reg, r_reg, errors: dict) -> list:
-    """The columns of `_simulate`'s arrays as SamplePaths of their configs,
-    or the errors that the kernel filed for them."""
+    """The columns of `_simulate`'s arrays as SamplePaths of their configs
+    (delta, seed and barrier; the times follow from delta), or the errors
+    that the kernel filed for them."""
     cfg = cfgs[0]
-    times = np.arange(cfg.n_steps + 1) * cfg.delta
     return [errors[j] if j in errors else
-            SamplePath(delta=cfg.delta, sigma=cfg.sigma, times=times,
-                       x=x[:, j], l_reg=l_reg[:, j], r_reg=r_reg[:, j],
-                       seed=c.seed, barrier=cfg.barrier)
+            SamplePath(delta=cfg.delta, x=x[:, j], l_reg=l_reg[:, j],
+                       r_reg=r_reg[:, j], seed=c.seed, barrier=cfg.barrier)
             for j, c in enumerate(cfgs)]
 
 
@@ -521,27 +490,35 @@ def write_path_csv(path: SamplePath, out_path: str) -> None:
     `# seed=` metadata comment.
 
     The columns become Python floats (the writer's fast rows) one block of
-    _BLOCK rows at a time, so the writer holds no copy of the whole path.
+    _BLOCK rows at a time, the block's times k*delta among them, so the
+    writer holds no copy of the whole path.
     """
-    cols = (path.times, path.x, path.l_reg, path.r_reg)
+    cols = (path.x, path.l_reg, path.r_reg)
+
+    def block(a):
+        b = min(a + _BLOCK, path.x.size)
+        return zip((np.arange(a, b) * path.delta).tolist(),
+                   *(c[a:b].tolist() for c in cols))
     write_csv(out_path, path.seed, "t,x,l_reg,r_reg",
               (row for a in range(0, path.x.size, _BLOCK)
-               for row in zip(*(c[a:a + _BLOCK].tolist() for c in cols))))
+               for row in block(a)))
 
 
-def read_path_csv(in_path: str, sigma: float, barrier: BarrierConfig,
+def read_path_csv(in_path: str, barrier: BarrierConfig,
                   delta: float | None = None) -> SamplePath:
     """Rebuild a SamplePath from a `t,x,l_reg,r_reg` CSV.
 
-    sigma and barrier are not stored in the CSV and must be supplied; delta is
-    inferred from the time column unless given.
+    The barrier is not stored in the CSV and must be supplied; delta is
+    inferred from the time column unless given.  The time column must equal
+    k*delta, k = 0..n, exactly: the SamplePath derives its times from delta.
 
     Accepted layout (the one `write_path_csv` writes, plus CRLF line ends):
     leading comment, `t,...` header and blank lines, where a `# seed=` comment
     sets the seed (default 0); then rows of four comma-separated floats, among
     which empty lines and lines starting with `#` are skipped.  ValueError is
     raised for a non-numeric field, a row of another length, a column count
-    other than four, no data rows, or a single row when delta is not given.
+    other than four, no data rows, a single row when delta is not given, or
+    a time column off the k*delta grid.
     """
     seed: int | tuple[int, ...] = 0
     with open(in_path) as f:
@@ -565,6 +542,7 @@ def read_path_csv(in_path: str, sigma: float, barrier: BarrierConfig,
         if data.shape[0] < 2:
             raise ValueError("cannot infer delta from a single-row path CSV")
         delta = float(data[1, 0] - data[0, 0])
-    return SamplePath(delta=delta, sigma=sigma, times=data[:, 0], x=data[:, 1],
-                      l_reg=data[:, 2], r_reg=data[:, 3], seed=seed,
-                      barrier=barrier)
+    if not np.array_equal(data[:, 0], np.arange(data.shape[0]) * delta):
+        raise ValueError("times must equal k*delta, k = 0..n")
+    return SamplePath(delta=delta, x=data[:, 1], l_reg=data[:, 2],
+                      r_reg=data[:, 3], seed=seed, barrier=barrier)

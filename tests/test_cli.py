@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, config files, runners."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ def test_parse_experiment_flags(tmp_path):
     assert rc.params["seed"] == 42
     assert rc.params["mode"] == "two_sided"
     assert rc.params["n_list"] == (400, 900, 1600)  # defaults fill the rest
-    assert rc.out == str(out)
+    assert rc.params["out"] == str(out)
 
 
 def test_parse_rejects_unknown_case(tmp_path, capsys):
@@ -226,9 +227,9 @@ _THREADS = os.cpu_count() or 1
       "upper": 3.0, "grid": 300, "h": 0.1, "quad_panels": 1024, "seed": 0,
       "out": "d.csv"}, "d.csv", 0),
     (["estimate", "--in", "p.csv", "--out", "e.csv"], None,
-     {"in_path": "p.csv", "sigma": 0.2, "mode": "two_sided", "lower": 0.0,
-      "upper": 3.0, "h": 0.1, "type": "discrete", "grid_min": None,
-      "grid_max": None, "grid_count": 300, "out": "e.csv"},
+     {"in_path": "p.csv", "mode": "two_sided", "lower": 0.0, "upper": 3.0,
+      "h": 0.1, "type": "discrete", "grid_min": None, "grid_max": None,
+      "grid_count": 300, "out": "e.csv"},
      "e.csv", None),
     (["experiment", "--case", "1", "--out", "t.csv"], None,
      {"case": 1, "mode": "both", "sigma": 0.2, "n_list": (400, 900, 1600),
@@ -252,9 +253,9 @@ _THREADS = os.cpu_count() or 1
       "out": "t.csv"}, "t.csv", 3),
     (["estimate", "--config", "{cfg}", "--h", "0.2", "--out", "e.csv"],
      "in = p.csv\nmode = one-sided\ngrid-min = 0.5\nh = 0.3\n",
-     {"in_path": "p.csv", "sigma": 0.2, "mode": "one_sided_lower",
-      "lower": 0.0, "upper": 3.0, "h": 0.2, "type": "discrete",
-      "grid_min": 0.5, "grid_max": None, "grid_count": 300, "out": "e.csv"},
+     {"in_path": "p.csv", "mode": "one_sided_lower", "lower": 0.0,
+      "upper": 3.0, "h": 0.2, "type": "discrete", "grid_min": 0.5,
+      "grid_max": None, "grid_count": 300, "out": "e.csv"},
      "e.csv", None),
 ])
 def test_parse_values_are_pinned(argv, cfg, params, out, seed, tmp_path):
@@ -263,8 +264,7 @@ def test_parse_values_are_pinned(argv, cfg, params, out, seed, tmp_path):
         cfgfile.write_text(cfg)
     rc = parse([a.format(cfg=cfgfile) for a in argv])
     assert rc.params == params
-    assert rc.out == out
-    assert rc.seed == seed
+    assert (rc.params.get("out"), rc.params.get("seed")) == (out, seed)
 
 
 def test_simulate_writes_reproducible_csv(tmp_path):
@@ -484,3 +484,29 @@ def test_module_entrypoint(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "refsde simulate:" in proc.stderr
+
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_SMOKE = [(f"{name}-{i}", cmd) for name, spec in json.loads(
+    (_BENCH / "spec.json").read_text())["workloads"].items()
+    for i, cmd in enumerate(spec["smoke"])]
+
+
+@pytest.mark.parametrize("cmd", [c for _, c in _SMOKE],
+                         ids=[i for i, _ in _SMOKE])
+def test_traced_smoke_command_matches_untraced(cmd, tmp_path):
+    # the benchmark's tracer wraps refsde names by attribute; a rename or
+    # removal of one of them fails here, not only in the benchmark's suite
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(refsde.__file__).resolve().parents[1])}
+    traced, plain = tmp_path / "traced.csv", tmp_path / "plain.csv"
+    proc = subprocess.run(
+        [sys.executable, str(_BENCH / "traced.py"), str(tmp_path / "t.json"),
+         "--", *cmd, "--out", str(traced)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "refsde", *cmd, "--out", str(plain)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert traced.read_bytes() == plain.read_bytes()

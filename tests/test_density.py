@@ -17,7 +17,6 @@ from refsde import (
     builtin_drift,
     epanechnikov,
     f_eval,
-    inner_integral,
     invariant_density,
     pi_eval,
     sigma_eval,
@@ -30,6 +29,7 @@ from refsde.density import (
     _fixed_simpson,
     _simpson_nodes_weights,
     _table_integral,
+    inner_integral,
 )
 
 TWO_SIDED = BarrierConfig.two_sided(0.0, 3.0)

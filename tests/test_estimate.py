@@ -19,7 +19,6 @@ from refsde import (
     delta_of_n,
     epanechnikov,
     estimation_grid,
-    kernel_eval,
     nw_continuous,
     nw_discrete,
     simulate_fine,
@@ -39,24 +38,25 @@ def _tiny_path(xs, delta=0.1, l_reg=None, r_reg=None, barrier=TWO_SIDED):
     xs = np.asarray(xs, dtype=float)
     n = xs.size
     mk = lambda a: np.zeros(n) if a is None else np.asarray(a, dtype=float)
-    return SamplePath(delta=delta, sigma=0.2, times=np.arange(n) * delta,
-                      x=xs, l_reg=mk(l_reg), r_reg=mk(r_reg), seed=0,
-                      barrier=barrier)
+    return SamplePath(delta=delta, x=xs, l_reg=mk(l_reg), r_reg=mk(r_reg),
+                      seed=0, barrier=barrier)
 
 
 def test_kernel_eval_point_values():
-    k = epanechnikov(0.5)
-    assert kernel_eval(k, 0.0) == pytest.approx(0.75)
-    assert kernel_eval(k, 1.0) == 0.0
-    assert kernel_eval(k, -1.0) == 0.0
-    assert kernel_eval(k, 0.5) == pytest.approx(0.5625)
+    # the estimators evaluate the base kernel as k.fn, scalar or array
+    fn = epanechnikov(0.5).fn
+    assert fn(0.0) == pytest.approx(0.75)
+    assert fn(1.0) == 0.0
+    assert fn(-1.0) == 0.0
+    assert fn(0.5) == pytest.approx(0.5625)
 
 
 def test_kernel_eval_clips_outside_support():
-    # the raw parabola is negative beyond [-1,1]; kernel_eval must return 0
-    k = epanechnikov(1.0)
-    assert kernel_eval(k, 1.5) == 0.0
-    out = kernel_eval(k, np.array([-3.0, 0.0, 3.0]))
+    # the raw parabola is negative beyond [-1,1]; k.fn must return 0, since
+    # the estimators sum it without clipping
+    fn = epanechnikov(1.0).fn
+    assert fn(1.5) == 0.0
+    out = fn(np.array([-3.0, 0.0, 3.0]))
     np.testing.assert_array_equal(out, [0.0, 0.75, 0.0])
 
 
@@ -275,9 +275,7 @@ def test_continuous_at_refine_one_equals_discrete():
 def _coarsen(p, m):
     # keep every m-th observation of a fine path (regulators are cumulative,
     # so subsampling them is exact)
-    k = (p.x.size - 1) // m + 1
-    return SamplePath(delta=p.delta * m, sigma=p.sigma,
-                      times=np.arange(k) * (p.delta * m), x=p.x[::m].copy(),
+    return SamplePath(delta=p.delta * m, x=p.x[::m].copy(),
                       l_reg=p.l_reg[::m].copy(), r_reg=p.r_reg[::m].copy(),
                       seed=p.seed, barrier=p.barrier)
 

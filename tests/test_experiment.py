@@ -1,4 +1,4 @@
-"""Tests for the Monte Carlo harness: cells, tables, curves, normality."""
+"""Tests for the Monte Carlo harness: cells, tables, normality."""
 
 import io
 import math
@@ -22,7 +22,6 @@ from refsde import (
     SimulationDivergedError,
     bandwidth,
     builtin_drift,
-    curve,
     delta_of_n,
     epanechnikov,
     estimation_grid,
@@ -35,7 +34,6 @@ from refsde import (
     run_table,
     simulate_fine,
     simulate_path,
-    write_curve_csv,
     write_normality_csv,
     write_summary_csv,
 )
@@ -85,7 +83,7 @@ def test_replication_seed_layout():
     key = replication_seed(7, 2, "one_sided_lower", 400, 0.3, 5)
     assert key == (7, 2, 1, 400, 300000, 5)
     assert replication_seed(7, 2, "two_sided", 400, 0.3, 5)[2] == 0
-    # r = 0 is reserved for curves and distinct from every replication slot
+    # r = 0 is reserved and distinct from every replication slot
     assert replication_seed(7, 2, "two_sided", 400, 0.3, 0)[-1] == 0
     with pytest.raises(KeyError):
         replication_seed(7, 2, "mirrored", 400, 0.3, 1)
@@ -143,7 +141,6 @@ def test_run_cell_matches_hand_statistics():
     assert s.h == pytest.approx(bandwidth(120, 0.3))
     assert s.delta == pytest.approx(delta_of_n(120))
     assert s.n_replications == 2
-    assert s.rase_stderr == pytest.approx(s.rase_std / math.sqrt(2.0))
 
 
 @pytest.fixture
@@ -486,36 +483,6 @@ def test_pool_has_no_more_workers_than_batches(built_pools):
     assert built_pools == []
     assert run_cell(plan, 80, 0.3, threads=4) == serial
     assert built_pools == [2]
-
-
-def test_curve_rows_and_determinism():
-    plan = ExperimentPlan(case_id=1, barrier_mode="two_sided", grid_count=30,
-                          n_replications=1, base_seed=0)
-    rows = curve(plan, 100, 0.3, seed=17)
-    assert len(rows) == 30
-    xs = np.array([r[0] for r in rows])
-    truth = np.array([r[2] for r in rows])
-    np.testing.assert_allclose(truth, builtin_drift(1)(xs), rtol=1e-15)
-    assert rows == curve(plan, 100, 0.3, seed=17)
-    assert rows != curve(plan, 100, 0.3, seed=18)
-    with pytest.raises(ValueError):
-        curve(ExperimentPlan(case_id=1, grid_count=10, n_replications=1),
-              100, 0.3, seed=0)  # "both" is not a concrete mode
-
-
-def test_curve_undefined_points_written_empty(tmp_path):
-    plan = ExperimentPlan(case_id=2, barrier_mode="two_sided", grid_count=60,
-                          n_replications=1, base_seed=0)
-    rows = curve(plan, 50, 0.3, seed=4)
-    missing = [i for i, r in enumerate(rows) if r[1] is None]
-    assert missing  # a 50-step path cannot cover the whole grid
-    out = tmp_path / "curve.csv"
-    write_curve_csv(rows, str(out), seed=4)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# seed=4"
-    assert lines[1] == "x,estimate,truth"
-    assert len(lines) == 62
-    assert lines[2 + missing[0]].split(",")[1] == ""
 
 
 def test_ks_statistic_matches_scipy_kstest():

@@ -163,59 +163,46 @@ def test_epanechnikov_is_bitwise_the_support_mask_form():
     assert np.array(scalars).tobytes() == want[-13:].tobytes()
 
 
-def _path_arrays(n=4, delta=0.5):
-    times = np.arange(n + 1) * delta
-    x = np.linspace(1.0, 2.0, n + 1)
-    return times, x
+def _path_x(n=4):
+    return np.linspace(1.0, 2.0, n + 1)
 
 
 def test_sample_path_accepts_valid_data():
-    times, x = _path_arrays()
-    p = SamplePath(delta=0.5, sigma=0.2, times=times, x=x,
-                   l_reg=np.zeros(5), r_reg=np.zeros(5), seed=7,
-                   barrier=TWO_SIDED)
+    p = SamplePath(delta=0.5, x=_path_x(), l_reg=np.zeros(5),
+                   r_reg=np.zeros(5), seed=7, barrier=TWO_SIDED)
     assert p.n_steps == 4
     with pytest.raises(ValueError):
         p.x[0] = 9.0  # arrays are locked read-only on construction
-
-
-def test_sample_path_rejects_wrong_time_grid():
-    times, x = _path_arrays(delta=0.5)
+    # the times follow from delta and are read-only too
+    assert p.times.tobytes() == (np.arange(5) * 0.5).tobytes()
     with pytest.raises(ValueError):
-        SamplePath(delta=0.4, sigma=0.2, times=times, x=x,
-                   l_reg=np.zeros(5), r_reg=np.zeros(5), seed=0,
-                   barrier=TWO_SIDED)
+        p.times[0] = 9.0
 
 
 def test_sample_path_rejects_bad_regulators():
-    times, x = _path_arrays()
+    x = _path_x()
     dec = np.array([0.0, 0.1, 0.3, 0.2, 0.2])
     with pytest.raises(ValueError):
-        SamplePath(delta=0.5, sigma=0.2, times=times, x=x, l_reg=dec,
-                   r_reg=np.zeros(5), seed=0, barrier=TWO_SIDED)
+        SamplePath(delta=0.5, x=x, l_reg=dec, r_reg=np.zeros(5), seed=0,
+                   barrier=TWO_SIDED)
     nonzero_start = np.array([0.5, 0.5, 0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
-        SamplePath(delta=0.5, sigma=0.2, times=times, x=x,
-                   l_reg=np.zeros(5), r_reg=nonzero_start, seed=0,
-                   barrier=TWO_SIDED)
+        SamplePath(delta=0.5, x=x, l_reg=np.zeros(5), r_reg=nonzero_start,
+                   seed=0, barrier=TWO_SIDED)
 
 
 def test_sample_path_rejects_states_outside_domain():
-    times, _ = _path_arrays()
     x = np.array([1.0, 2.0, 3.5, 2.0, 1.0])
     with pytest.raises(ValueError):
-        SamplePath(delta=0.5, sigma=0.2, times=times, x=x,
-                   l_reg=np.zeros(5), r_reg=np.zeros(5), seed=0,
-                   barrier=TWO_SIDED)
+        SamplePath(delta=0.5, x=x, l_reg=np.zeros(5), r_reg=np.zeros(5),
+                   seed=0, barrier=TWO_SIDED)
 
 
 def test_one_sided_path_requires_zero_upper_regulator():
-    times, x = _path_arrays()
     r = np.array([0.0, 0.0, 0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
-        SamplePath(delta=0.5, sigma=0.2, times=times, x=x,
-                   l_reg=np.zeros(5), r_reg=r, seed=0,
-                   barrier=BarrierConfig.one_sided(0.0))
+        SamplePath(delta=0.5, x=_path_x(), l_reg=np.zeros(5), r_reg=r,
+                   seed=0, barrier=BarrierConfig.one_sided(0.0))
 
 
 def test_schedule_field_validation():

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import refsde.simulate as sim_module
@@ -19,13 +18,12 @@ from refsde import (
     SimulationDivergedError,
     builtin_drift,
     read_path_csv,
-    sample_sup_with_drift,
     simulate_fine,
     simulate_path,
     simulate_paths,
-    stream_rng,
     write_path_csv,
 )
+from refsde.simulate import stream_rng
 
 TWO_SIDED = BarrierConfig.two_sided(0.0, 3.0)
 
@@ -35,63 +33,13 @@ def _const_drift(c):
                      lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c))
 
 
-# --- within-step supremum sampler -------------------------------------------
-
-def test_sample_sup_uniform_one_is_lower_envelope():
-    # u = 1 collapses the bridge draw onto max(0, y)
-    assert sample_sup_with_drift(0.6, 1.0, 0.5, 0.0, 1.0) == pytest.approx(0.3)
-    assert sample_sup_with_drift(-0.6, 1.0, 0.5, 0.0, 1.0) == 0.0
-
-
-def test_sample_sup_degenerate_sigma_zero():
-    # no noise: the supremum of a downward ramp is 0 whatever u says
-    assert sample_sup_with_drift(-0.4, 0.0, 0.5, 3.0, 0.2) == 0.0
-
-
-def test_sample_sup_tail_draw_value():
-    # y = 0, sigma = delta = 1, u = e^-2: M = sqrt(-2 ln u)/2 = 1
-    m = sample_sup_with_drift(0.0, 1.0, 1.0, 0.0, math.exp(-2.0))
-    assert m == pytest.approx(1.0, rel=1e-12)
-
-
-def test_sample_sup_is_bitwise_the_kernels_bridge_max():
-    # the stepping kernels take 0.5 (y + sqrt(y^2 - c ln U)), c = 2 sigma^2
-    # delta, with np.log over the records; the sampler must give the same
-    # bits (math.log differs from np.log in the last bit on some uniforms)
-    rate, sigma, delta = 0.1, 0.2, 0.01
-    u = 1.0 - np.random.default_rng(21).random(100_000)
-    y = rate * delta + sigma * 0.0
-    c = 2.0 * sigma * sigma * delta
-    want = 0.5 * (y + np.sqrt(y * y - c * np.log(u)))
-    got = [sample_sup_with_drift(rate, sigma, delta, 0.0, v)
-           for v in u.tolist()]
-    assert all(type(m) is float for m in got)
-    assert np.array(got).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("args", [
-    (0.0, 1.0, 1.0, 0.0, 0.0),        # u = 0
-    (0.0, 1.0, 1.0, 0.0, 1.5),        # u > 1
-    (0.0, 1.0, 0.0, 0.0, 0.5),        # delta = 0
-    (0.0, -1.0, 1.0, 0.0, 0.5),       # sigma < 0
-    (math.nan, 1.0, 1.0, 0.0, 0.5),   # non-finite input
-])
-def test_sample_sup_rejects_bad_inputs(args):
-    with pytest.raises(ValueError):
-        sample_sup_with_drift(*args)
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.floats(-3, 3), st.floats(0, 2), st.floats(0.01, 2), st.floats(-3, 3),
-       st.floats(1e-6, 1.0))
-def test_sample_sup_dominates_endpoint(rate, sigma, delta, w, u):
-    y = rate * delta + sigma * w
-    m = sample_sup_with_drift(rate, sigma, delta, w, u)
-    assert m >= max(0.0, y) - 1e-12
-
+# --- within-step supremum -----------------------------------------------------
 
 def test_sample_sup_matches_brute_force_distribution():
-    # inverse-transform draws vs running maxima of finely simulated ramps
+    # running maxima of finely simulated ramps against the supremum that a
+    # step samples: one step started at the upper barrier, whose upper
+    # regulator r_reg[1] is the sampled supremum of the step's displacement
+    # (the lower barrier lies out of reach), through both kernels
     rng = np.random.default_rng(20260813)
     n, m = 100_000, 2000
     mu, sigma, delta = 0.4, 0.7, 0.9
@@ -101,12 +49,15 @@ def test_sample_sup_matches_brute_force_distribution():
     for _ in range(m):
         state += mu * dt + sigma * rng.normal(0.0, math.sqrt(dt), n)
         np.maximum(run_max, state, out=run_max)
-    w = rng.normal(0.0, math.sqrt(delta), n)
-    u = 1.0 - rng.random(n)
-    draws = np.array([sample_sup_with_drift(mu, sigma, delta, wi, ui)
-                      for wi, ui in zip(w, u)])
-    stat = ks_2samp(run_max, draws).statistic
-    assert stat < 0.02
+    base = SimConfig(drift=_const_drift(mu), sigma=sigma,
+                     barrier=BarrierConfig.two_sided(0.0, 10.0), n_steps=1,
+                     delta=delta, x0=10.0)
+    cfgs = [replace(base, seed=(20260813, r)) for r in range(20_000)]
+    for kernel in (sim_module._steps, sim_module._vector_steps):
+        _, l_reg, r_reg, errors = sim_module._simulate(cfgs, kernel)
+        assert errors == {} and not l_reg[1].any()
+        stat = ks_2samp(run_max, r_reg[1]).statistic
+        assert stat < 0.02
 
 
 # --- single step -------------------------------------------------------------
@@ -670,7 +621,7 @@ def test_path_csv_roundtrip(tmp_path):
     assert lines[0] == "# seed=8,2"
     assert lines[1] == "t,x,l_reg,r_reg"
     assert len(lines) == 303
-    q = read_path_csv(str(out), sigma=0.2, barrier=TWO_SIDED)
+    q = read_path_csv(str(out), barrier=TWO_SIDED)
     np.testing.assert_array_equal(p.x, q.x)  # %.17g survives the round trip
     np.testing.assert_array_equal(p.l_reg, q.l_reg)
     np.testing.assert_array_equal(p.r_reg, q.r_reg)
@@ -682,7 +633,7 @@ def test_path_csv_int_seed_and_delta_override(tmp_path):
     p = simulate_path(_cfg(n_steps=4, sigma=0.2, seed=7, delta=0.25))
     out = tmp_path / "p.csv"
     write_path_csv(p, str(out))
-    q = read_path_csv(str(out), sigma=0.2, barrier=TWO_SIDED, delta=0.25)
+    q = read_path_csv(str(out), barrier=TWO_SIDED, delta=0.25)
     assert q.seed == 7
     assert q.delta == 0.25
 
@@ -691,24 +642,30 @@ def test_read_path_csv_rejects_empty(tmp_path):
     f = tmp_path / "empty.csv"
     f.write_text("# seed=0\nt,x,l_reg,r_reg\n")
     with pytest.raises(ValueError):
-        read_path_csv(str(f), sigma=0.2, barrier=TWO_SIDED)
+        read_path_csv(str(f), barrier=TWO_SIDED)
 
 
 _CLEAN = "# seed=3\nt,x,l_reg,r_reg\n0,1.5,0,0\n0.5,1.25,0,0\n1,0,0.125,0\n"
 
 
-@pytest.mark.parametrize("body", [
-    pytest.param(_CLEAN.replace("1.25", "1.2x"), id="non-numeric"),
-    pytest.param(_CLEAN.replace("1.25,0,0", "1.25,0"), id="ragged"),
-    pytest.param(_CLEAN.replace(",0\n", "\n").replace(",r_reg", ""),
+@pytest.mark.parametrize("body, delta", [
+    pytest.param(_CLEAN.replace("1.25", "1.2x"), None, id="non-numeric"),
+    pytest.param(_CLEAN.replace("1.25,0,0", "1.25,0"), None, id="ragged"),
+    pytest.param(_CLEAN.replace(",0\n", "\n").replace(",r_reg", ""), None,
                  id="three-columns"),
-    pytest.param("# seed=3\nt,x,l_reg,r_reg\n0,1.5,0,0\n", id="single-row"),
+    pytest.param("# seed=3\nt,x,l_reg,r_reg\n0,1.5,0,0\n", None,
+                 id="single-row"),
+    # the path's times are k*delta: an uneven t column, or one whose step
+    # is not the delta given
+    pytest.param(_CLEAN.replace("\n1,0,", "\n1.25,0,"), None,
+                 id="uneven-time-column"),
+    pytest.param(_CLEAN, 0.4, id="time-step-off-delta"),
 ])
-def test_read_path_csv_rejects_malformed(tmp_path, body):
+def test_read_path_csv_rejects_malformed(tmp_path, body, delta):
     f = tmp_path / "bad.csv"
     f.write_text(body)
     with pytest.raises(ValueError):
-        read_path_csv(str(f), sigma=0.2, barrier=TWO_SIDED)
+        read_path_csv(str(f), barrier=TWO_SIDED, delta=delta)
 
 
 def test_read_path_csv_skips_comments_blank_lines_and_crlf(tmp_path):
@@ -718,8 +675,8 @@ def test_read_path_csv_skips_comments_blank_lines_and_crlf(tmp_path):
     rows = _CLEAN.splitlines()
     rows[3:3] = ["# a comment between rows", ""]
     messy.write_bytes(("\r\n".join(rows) + "\r\n").encode())
-    p = read_path_csv(str(clean), sigma=0.2, barrier=TWO_SIDED)
-    q = read_path_csv(str(messy), sigma=0.2, barrier=TWO_SIDED)
+    p = read_path_csv(str(clean), barrier=TWO_SIDED)
+    q = read_path_csv(str(messy), barrier=TWO_SIDED)
     for name in ("times", "x", "l_reg", "r_reg"):
         np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
     assert p.x.shape == (3,)
@@ -730,7 +687,7 @@ def test_read_path_csv_working_set_is_linear(tmp_path):
     # the four float64 columns are the floor; a reader that holds one Python
     # list per row peaks at about 8 times that
     n = 200_000
-    p = SamplePath(delta=0.01, sigma=0.2, times=np.arange(n) * 0.01,
+    p = SamplePath(delta=0.01,
                    x=np.random.default_rng(3).uniform(0.0, 3.0, n),
                    l_reg=np.zeros(n), r_reg=np.zeros(n), seed=0,
                    barrier=TWO_SIDED)
@@ -738,7 +695,7 @@ def test_read_path_csv_working_set_is_linear(tmp_path):
     write_path_csv(p, str(out))
     tracemalloc.start()
     try:
-        q = read_path_csv(str(out), sigma=0.2, barrier=TWO_SIDED)
+        q = read_path_csv(str(out), barrier=TWO_SIDED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -753,7 +710,7 @@ def test_write_path_csv_holds_no_copy_of_the_path(tmp_path, monkeypatch):
     # A small block keeps the traced run short.
     monkeypatch.setattr(sim_module, "_BLOCK", 2**10)
     n = 2**15
-    p = SamplePath(delta=0.01, sigma=0.2, times=np.arange(n) * 0.01,
+    p = SamplePath(delta=0.01,
                    x=np.random.default_rng(4).uniform(0.0, 3.0, n),
                    l_reg=np.zeros(n), r_reg=np.zeros(n), seed=0,
                    barrier=TWO_SIDED)
