@@ -43,9 +43,24 @@ one past support_hi, and a reader builds any later one when a target first
 falls in it.  All are kept with the density.  The tables reproduce I_P, not
 the exact integral, so pi moves from a per-point inner rule by at most about
 1e-10 relative (5e-13 measured on the built-in cases).
+
+The two kernels that dominate a density's cost run on flat arrays and give
+bit for bit what their two-dimensional forms give: the inner rule builds a
+block's nodes from the tiled offsets times the repeated widths, not as a
+broadcast (targets, nodes) product (see _integral_from), and the quintic
+reader forms its six basis weights and terms as columns of the points'
+length, summed in the order einsum sums a (points, 6) product (see
+_quintic).  Simpson nodes and weights, and the inner rule's tiled offsets,
+are cached per panel count.
+
+A sigma whose sigma^2 or c = 2/sigma^2 is not a positive finite float is
+refused before any quadrature.  The normalizer's doubling stops at the first
+level with a NaN node, where the drift overflows and pi is undefined
+(ValueError), or whose Z is not finite (ModelNotErgodicError).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,15 +100,29 @@ class UndefinedVarianceError(RuntimeError):
     """Sigma(x) requested where the smoothed density F vanishes."""
 
 
+@functools.lru_cache(maxsize=4)
 def _simpson_nodes_weights(n_panels: int):
     # 2*n_panels+1 equally spaced nodes on [0,1]; weights (1,4,2,...,4,1)/6/n.
+    # Cached per panel count, read-only: f_eval and the doublings reuse them.
     m = 2 * n_panels + 1
     offsets = np.linspace(0.0, 1.0, m)
     w = np.full(m, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     w /= 6.0 * n_panels
+    offsets.flags.writeable = w.flags.writeable = False
     return offsets, w
+
+
+@functools.lru_cache(maxsize=4)
+def _inner_blocks(n_panels: int):
+    """Targets per block of the inner rule at n_panels, and the Simpson
+    offsets tiled that many times (read-only, cached like the offsets)."""
+    offsets, _ = _simpson_nodes_weights(n_panels)
+    block = max(1, _NODE_BUDGET // offsets.size // 4 * 4)
+    tiled = np.tile(offsets, block)
+    tiled.flags.writeable = False
+    return block, tiled
 
 
 def _integral_from(fn, lower: float, x, n_panels: int):
@@ -105,17 +134,27 @@ def _integral_from(fn, lower: float, x, n_panels: int):
     over at a block's end takes a kernel with another summation order; so
     every full block's rows take the kernel they take in one product over
     all targets, and the values do not depend on the block size.
+
+    A block's nodes lower + width_i * offset_k are built flat: each width
+    repeated 2P + 1 times, times the offsets tiled over a full block, plus
+    lower.  That gives the bits of the broadcast (targets, 1) * (1, 2P + 1)
+    product at about half its cost, and fn sees them as that
+    (targets, 2P + 1) array.  The tiled offsets are cached per panel count:
+    built on each call, they cost a one-block call more than they save.
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs1 = np.atleast_1d(xs)
     offsets, w = _simpson_nodes_weights(n_panels)
+    block, tiled = _inner_blocks(n_panels)
     out = np.empty(xs1.shape)
     widths = xs1 - lower
-    block = max(1, _NODE_BUDGET // offsets.size // 4 * 4)
     for i0 in range(0, xs1.size, block):
         sl = slice(i0, i0 + block)
-        nodes = lower + widths[sl, None] * offsets[None, :]
+        nodes = np.repeat(widths[sl], offsets.size)
+        nodes *= tiled[:nodes.size]
+        nodes += lower
+        nodes = nodes.reshape(-1, offsets.size)
         out[sl] = (np.asarray(fn(nodes)) @ w) * widths[sl]
     return float(out[0]) if scalar else out
 
@@ -196,13 +235,22 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     b = 6 and b = 1.5 - x at sigma 0.2 and 1, in each mode where they are
     ergodic, the table check holds by the level where Z agrees, so it adds
     no level there.
+
+    Raises ValueError, before any quadrature, for a sigma whose sigma^2 or
+    c is not positive and finite, and, at the first level that meets one,
+    for a node whose I_P is NaN (the drift overflows there, so pi is
+    undefined); a level whose Z is not finite raises ModelNotErgodicError.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
+    s2 = sigma * sigma
+    if not (0 < s2 < math.inf and 2.0 / s2 < math.inf):
+        raise ValueError(f"sigma = {sigma!r} is out of range: sigma^2 and "
+                         "c = 2/sigma^2 must be positive and finite")
     if quad_panels < 1:
         raise ValueError("quad_panels must be positive")
     lower = barrier.lower
-    c = 2.0 / (sigma * sigma)
+    c = 2.0 / s2
 
     def integral(y):
         return _integral_from(drift.fn, lower, y, quad_panels)
@@ -228,7 +276,12 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     width = support_hi - lower
 
     def inner(s):
-        return integral(lower + width * (s * s * (3.0 - 2.0 * s)))
+        y = lower + width * (s * s * (3.0 - 2.0 * s))
+        out = integral(y)
+        nan = np.isnan(out)
+        if nan.any():
+            raise _undefined_pi(y[nan][0])
+        return out
 
     def z_of(table):
         # Simpson of g(y(s)) dy/ds over the table's level
@@ -236,10 +289,16 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
 
     def settled(coarse, fine):
         z = z_of(fine)
+        if not math.isfinite(z):
+            raise ModelNotErgodicError(f"normalizer not finite (Z={z:g})")
         return (abs(z - z_of(coarse)) <= _NORM_RTOL * abs(z)
                 and _settled(coarse, fine, c))
 
-    table = _doubled_table(inner, quad_panels, settled)
+    # where the drift overflows, I_P is inf or NaN: the doubling stops at the
+    # first level with a NaN node or a Z that is not finite, and no
+    # floating-point warning shows
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _doubled_table(inner, quad_panels, settled)
     z = z_of(table)
     if not (math.isfinite(z) and z > 0):
         raise ModelNotErgodicError(f"normalizer not positive-finite (Z={z:g})")
@@ -280,16 +339,45 @@ def _quintic(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Interpolate table (samples at indices 0, 1, ..., n - 1, n >= 6) at the
     fractional indices p, each from the six nodes around it, shifted inward
     at the ends.  A stencil that holds +inf (an inner integral that
-    overflowed, where pi is 0) gives +inf."""
-    j0 = np.clip(p.astype(np.intp) - 2, 0, table.size - 6)
-    d = (p - j0)[:, None] - np.arange(6.0)
-    # the basis polynomial of node m is prod_{k != m} d_k / _QUINTIC_DENOM[m]
-    ones = np.ones((p.size, 1))
-    left = np.cumprod(np.hstack([ones, d[:, :5]]), axis=1)
-    right = np.cumprod(np.hstack([ones, d[:, :0:-1]]), axis=1)[:, ::-1]
-    vals = table[j0[:, None] + np.arange(6)]
-    out = np.einsum("ij,ij->i", left * right / _QUINTIC_DENOM, vals)
-    return np.where(np.isposinf(vals).any(axis=1), np.inf, out)
+    overflowed, where pi is 0) gives +inf.
+
+    The kernel works on columns of p's length.  With d_k = p - j0 - k, node
+    m's basis weight is (d_0 ... d_{m-1}) (d_5 ... d_{m+1}) / _QUINTIC_DENOM[m],
+    each product taken left to right, and the six terms are summed as
+    ((t0 + t2) + t4) + ((t1 + t3) + t5), the order in which numpy's einsum
+    sums the same weights times an (n, 6) array of stencil values, so the
+    two forms agree bit for bit.  An inf - inf or 0 * inf in those sums
+    gives NaN without a floating-point warning, as einsum does; the stencils
+    that hold +inf, found from one prefix sum over the table, then read +inf.
+    """
+    j0 = p.astype(np.intp)
+    j0 -= 2
+    np.maximum(j0, 0, out=j0)
+    np.minimum(j0, table.size - 6, out=j0)
+    d0 = p - j0
+    d1, d2, d3, d4, d5 = d0 - 1.0, d0 - 2.0, d0 - 3.0, d0 - 4.0, d0 - 5.0
+    l2 = d0 * d1
+    l3 = l2 * d2
+    l4 = l3 * d3
+    r3 = d5 * d4
+    r2 = r3 * d3
+    r1 = r2 * d2
+    terms = (r1 * d1, d0 * r1, l2 * r2, l3 * r3, l4 * d5, l4 * d4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, t in enumerate(terms):
+            t /= _QUINTIC_DENOM[m]
+            t *= table[m:].take(j0)
+        t0, t1, t2, t3, t4, t5 = terms
+        t0 += t2
+        t0 += t4
+        t1 += t3
+        t1 += t5
+        t0 += t1
+    posinf = table == np.inf
+    if posinf.any():
+        count = np.concatenate(([0], np.cumsum(posinf)))
+        t0[count[j0 + 6] > count[j0]] = np.inf
+    return t0
 
 
 def _settled(coarse: np.ndarray, fine: np.ndarray, c: float) -> bool:
@@ -351,10 +439,14 @@ def _table_integral(d: InvariantDensity, y: np.ndarray) -> np.ndarray:
         at = expo == e
         past[at] = _quintic(slab, (2.0 * mant[at] - 1.0) * (slab.size - 1))
     if np.isnan(past).any():
-        raise ValueError("pi is undefined where the drift overflows: I_P is "
-                         f"NaN at y = {float(y[~inside][np.isnan(past)][0])!r}")
+        raise _undefined_pi(y[~inside][np.isnan(past)][0])
     out[~inside] = past
     return out
+
+
+def _undefined_pi(y) -> ValueError:
+    return ValueError("pi is undefined where the drift overflows: I_P is "
+                      f"NaN at y = {float(y)!r}")
 
 
 def _pi(d: InvariantDensity, y: np.ndarray) -> np.ndarray:

@@ -188,7 +188,12 @@ def estimation_grid(lower: float, upper: float, count: int) -> np.ndarray:
         raise ValueError("grid edges must be finite")
     if not upper > lower:
         raise ValueError("need lower < upper")
-    return lower + (np.arange(count) + 0.5) * (upper - lower) / count
+    with np.errstate(over="ignore"):
+        grid = lower + (np.arange(count) + 0.5) * (upper - lower) / count
+    if not np.isfinite(grid).all():
+        raise ValueError("grid points must be finite: the partition of "
+                         f"[{lower!r}, {upper!r}] into {count} cells overflows")
+    return grid
 
 
 def rase(est: EstimateResult, truth: DriftSpec) -> float:

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -142,6 +144,35 @@ def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["density", "--case", "3", "--sigma", sigma], "out of range",
+                 id=f"density-sigma-{sigma}")
+    for sigma in ("1e200", "1e-200", "1e-160")] + [
+    pytest.param(_NORM + ["--sigma", "1e-160"], "out of range",
+                 id="normality-sigma-1e-160"),
+    pytest.param(["density", "--case", "1", "--upper", "5e307"],
+                 "grid points must be finite", id="density-upper-5e307"),
+    pytest.param(["density", "--case", "1", "--upper", "5e307", "--grid", "3"],
+                 "drift overflows", id="density-upper-5e307-grid-3"),
+    pytest.param(["density", "--case", "1", "--upper", "5e307", "--grid", "3",
+                  "--quad-panels", "2"], "drift overflows",
+                 id="density-upper-5e307-quad-panels-2"),
+])
+def test_out_of_range_density_inputs_exit_two_at_once(argv, message, tmp_path,
+                                                      capsys):
+    # a sigma whose sigma^2 or 2/sigma^2 is not finite, a grid that
+    # overflows, or a normalizer level that meets a NaN drift: refused
+    # before the quadrature doubles, without a numpy warning
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        started = time.perf_counter()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - started < 1.0
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_mode_vocabulary(tmp_path):

@@ -24,9 +24,13 @@ from refsde import (
 from refsde.density import (
     _NODE_BUDGET,
     _NORM_RTOL,
+    _QUINTIC_DENOM,
     _TABLE_TOL,
     _doubled_table,
     _fixed_simpson,
+    _inner_blocks,
+    _integral_from,
+    _quintic,
     _simpson_nodes_weights,
     _table_integral,
     inner_integral,
@@ -83,6 +87,10 @@ def test_invariant_density_validates_inputs():
         invariant_density(_const_drift(0.0), 0.0, TWO_SIDED)
     with pytest.raises(ValueError):
         invariant_density(_const_drift(0.0), SIGMA, TWO_SIDED, quad_panels=0)
+    # sigma^2 overflows, underflows to 0, or is subnormal with c = inf
+    for sigma in (1e200, 1e-200, 1e-160):
+        with pytest.raises(ValueError, match="out of range"):
+            invariant_density(_const_drift(0.0), sigma, TWO_SIDED)
     with pytest.raises(ValueError):
         InvariantDensity(drift=_const_drift(0.0), sigma=SIGMA,
                          barrier=TWO_SIDED, normalizer=0.0, quad_panels=64,
@@ -547,3 +555,137 @@ def test_far_one_sided_points_read_zero_or_refuse(case):
                     f_eval(dens, k, x)
             else:
                 assert pi_eval(dens, x) == f_eval(dens, k, x) == 0.0
+
+
+def _quintic_oracle(table, p):
+    """_quintic point by point in Python floats, each operation in the
+    kernel's stated order: the basis products left to right, the terms
+    summed ((t0 + t2) + t4) + ((t1 + t3) + t5)."""
+    out = []
+    for x in p.tolist():
+        j0 = min(max(int(x) - 2, 0), table.size - 6)
+        d = [(x - j0) - k for k in range(6)]
+        vals = table[j0:j0 + 6].tolist()
+        t = []
+        for m in range(6):
+            left = right = 1.0
+            for k in range(m):
+                left *= d[k]
+            for k in range(5, m, -1):
+                right *= d[k]
+            t.append(left * right / float(_QUINTIC_DENOM[m]) * vals[m])
+        total = ((t[0] + t[2]) + t[4]) + ((t[1] + t[3]) + t[5])
+        out.append(math.inf if math.inf in vals else total)
+    return np.array(out)
+
+
+def _quintic_einsum(table, p):
+    # the (points, 6) form: cumulative basis products and one einsum
+    j0 = np.clip(p.astype(np.intp) - 2, 0, table.size - 6)
+    d = (p - j0)[:, None] - np.arange(6.0)
+    ones = np.ones((p.size, 1))
+    left = np.cumprod(np.hstack([ones, d[:, :5]]), axis=1)
+    right = np.cumprod(np.hstack([ones, d[:, :0:-1]]), axis=1)[:, ::-1]
+    vals = table[j0[:, None] + np.arange(6)]
+    out = np.einsum("ij,ij->i", left * right / _QUINTIC_DENOM, vals)
+    return np.where(np.isposinf(vals).any(axis=1), np.inf, out)
+
+
+def _quintic_cases():
+    rng = np.random.default_rng(7)
+    smooth = np.cumsum(rng.standard_normal(513)) * 1e3
+    ends = np.concatenate([rng.uniform(0.0, 3.0, 50),
+                           rng.uniform(509.0, 512.0, 50)])
+    odd = np.cumsum(rng.standard_normal(40))
+    odd[12:15] = np.inf           # an overflowed inner integral
+    odd[30] = np.nan              # a drift that overflowed
+    odd[33] = -np.inf
+    return [
+        ("random", smooth, rng.uniform(0.0, 512.0, 2000)),
+        ("end-stencils", smooth, ends),
+        ("integer", smooth, np.arange(513.0)),
+        ("inf-nan", odd, np.concatenate([rng.uniform(0.0, 39.0, 500),
+                                         np.arange(40.0)])),
+        ("six-nodes", smooth[:6], np.linspace(0.0, 5.0, 41)),
+    ]
+
+
+@pytest.mark.parametrize("table, p", [c[1:] for c in _quintic_cases()],
+                         ids=[c[0] for c in _quintic_cases()])
+def test_quintic_matches_explicit_order_and_einsum_form(table, p):
+    # bit for bit the stated operation order; within 1e-15 of the einsum
+    # form (bitwise on numpy 2.4, where einsum sums in that order); and no
+    # floating-point warning where a stencil's sums meet inf - inf or 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _quintic(table, p)
+        want = _quintic_einsum(table, p)
+    np.testing.assert_array_equal(got, _quintic_oracle(table, p))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("panels, targets", [(7, 2 * 4368 + 5), (1024, 61)])
+def test_integral_from_matches_broadcast_nodes(panels, targets):
+    # nodes built flat give the bits of the broadcast (targets, nodes)
+    # product, block by block, with a short last block
+    drift = builtin_drift(1)
+    offsets, w = _simpson_nodes_weights(panels)
+    block = _NODE_BUDGET // offsets.size // 4 * 4
+    assert targets // block >= 2 and targets % block not in (0, block)
+    lower = 0.25
+    xs = np.linspace(lower, 3.0, targets)
+    widths = xs - lower
+    want = np.concatenate([
+        (drift.fn(lower + widths[i:i + block, None] * offsets[None, :]) @ w)
+        * widths[i:i + block] for i in range(0, targets, block)])
+    np.testing.assert_array_equal(_integral_from(drift.fn, lower, xs, panels),
+                                  want)
+
+
+def test_simpson_nodes_weights_are_cached_read_only():
+    offsets, w = _simpson_nodes_weights(9)
+    again = _simpson_nodes_weights(9)
+    assert again[0] is offsets and again[1] is w
+    block, tiled = _inner_blocks(9)
+    assert _inner_blocks(9)[1] is tiled
+    np.testing.assert_array_equal(tiled, np.tile(offsets, block))
+    assert block == _NODE_BUDGET // offsets.size // 4 * 4
+    assert not (offsets.flags.writeable or w.flags.writeable
+                or tiled.flags.writeable)
+
+
+@pytest.mark.parametrize("panels", [2, 1024])
+def test_normalizer_refuses_a_nan_level_at_once(panels):
+    # case 1's drift is NaN past 2.9e307 (sin of an overflowed 2 pi x): the
+    # first level holds NaN, so the doubling stops there, without a warning
+    calls = []
+    base = builtin_drift(1)
+
+    def counting(x):
+        calls.append(np.size(x))
+        return base.fn(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="drift overflows"):
+            invariant_density(DriftSpec("counting", counting), SIGMA,
+                              BarrierConfig.two_sided(0.0, 5e307),
+                              quad_panels=panels)
+    assert sum(calls) == (2 * panels + 1) ** 2
+
+
+def test_normalizer_refuses_a_level_whose_z_is_not_finite():
+    # b = -1e300 on [0, 3]: exp(-c I_P) overflows to inf away from the lower
+    # barrier, so Z is inf at the first doubling and no level follows it
+    levels = []
+
+    def counting(x):
+        levels.append(np.size(x))
+        return np.full(np.shape(x), -1e300)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelNotErgodicError, match="not finite"):
+            invariant_density(DriftSpec("steep", counting), SIGMA, TWO_SIDED,
+                              quad_panels=8)
+    assert sum(levels) == (2 * 16 + 1) * 17

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ def test_estimation_grid_midpoints():
         estimation_grid(0.0, 3.0, 0)
     with pytest.raises(ValueError):
         estimation_grid(2.0, 1.0, 10)
+
+
+def test_estimation_grid_refuses_points_that_overflow():
+    # finite edges whose partition overflows: (i + 0.5) (upper - lower) is
+    # inf for i >= 3 at 5e307, and -1e308 .. 1e308 has an infinite width
+    np.testing.assert_array_equal(estimation_grid(0.0, 5e307, 3),
+                                  [0.5 * 5e307 / 3, 1.5 * 5e307 / 3,
+                                   2.5 * 5e307 / 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lower, upper, count in [(0.0, 5e307, 300), (-1e308, 1e308, 2)]:
+            with pytest.raises(ValueError, match="grid points must be finite"):
+                estimation_grid(lower, upper, count)
 
 
 def test_replication_seed_layout():
