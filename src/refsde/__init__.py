@@ -9,10 +9,9 @@ from .experiment import (CellFailure, ExperimentPlan, McSummary, NoDataError,
                          NormalityReport, ReplicationError, estimation_grid,
                          normality_check, rase, replication_seed, run_cell,
                          run_table, write_normality_csv, write_summary_csv)
-from .model import (BarrierConfig, DriftSpec, KernelSpec, SamplePath, Schedule,
-                    builtin_drift, epanechnikov, validate_schedule)
+from .model import (BarrierConfig, DriftSpec, KernelSpec, SamplePath,
+                    builtin_drift, epanechnikov)
 from .simulate import (SimConfig, SimulationDivergedError, read_path_csv,
-                       simulate_fine, simulate_path, simulate_paths,
-                       write_path_csv)
+                       simulate_fine, simulate_path, write_path_csv)
 
 __version__ = "0.1.0"

@@ -237,9 +237,11 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
     no level there.
 
     Raises ValueError, before any quadrature, for a sigma whose sigma^2 or
-    c is not positive and finite, and, at the first level that meets one,
-    for a node whose I_P is NaN (the drift overflows there, so pi is
-    undefined); a level whose Z is not finite raises ModelNotErgodicError.
+    c is not positive and finite, or for a two-sided W whose 6 W is not
+    finite (one-sided W is at most 2^40); and, at the first level that
+    meets one, for a node whose I_P is NaN (the drift overflows there, so
+    pi is undefined).  A level whose Z is not finite raises
+    ModelNotErgodicError.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -274,6 +276,10 @@ def invariant_density(drift: DriftSpec, sigma: float, barrier: BarrierConfig,
                 f"truncation doubling (last slab {tail:g})")
         support_hi = lower + math.ldexp(1.0, j + 1)
     width = support_hi - lower
+    if not math.isfinite(6.0 * width):
+        # the graded map's slope 6 W s (1 - s) would overflow
+        raise ValueError(f"domain width {width!r} is out of range: "
+                         "6 * width must be finite")
 
     def inner(s):
         y = lower + width * (s * s * (3.0 - 2.0 * s))

@@ -39,8 +39,7 @@ class EstimateResult:
     grids.  Both are sums over the observations in the window [x - h, x + h]
     only, exact because the kernel vanishes outside [-1, 1]; computing them
     takes O(n) memory for any grid size.  boundary_mask flags grid points
-    within one bandwidth of a barrier, where kernel mass is truncated.  meta
-    records (n, delta, h, kernel, estimator type).
+    within one bandwidth of a barrier, where kernel mass is truncated.
     """
 
     grid: np.ndarray
@@ -48,7 +47,6 @@ class EstimateResult:
     denominators: np.ndarray
     undefined_mask: np.ndarray
     boundary_mask: np.ndarray
-    meta: dict
 
     def __post_init__(self) -> None:
         for name in ("grid", "values", "denominators", "undefined_mask",
@@ -81,6 +79,39 @@ def delta_of_n(n: int) -> float:
     if n < 2:
         raise ValueError("step-size schedule needs n >= 2")
     return float(n) ** (-2.0 / 3.0)
+
+
+def _check_rates(beta: float, epsilon: float) -> None:
+    """Refuse a bandwidth exponent outside the normality window.
+
+    On the schedule Delta = n^(-2/3), h = n^(-beta), each rate product of
+    the estimators' central limit theorem is a power of n, so it tends to 0
+    or to infinity by its exponent's sign alone, whatever n is:
+
+        nΔ = n^(1/3)                 -> inf always,
+        Δ^(1/2−ε)h^(−1) = n^(q)      -> 0 iff q < 0,
+        nhΔ = n^(1/3 - beta)         -> inf iff beta < 1/3,
+        nh³Δ = n^(1/3 - 3 beta)      -> 0 iff beta > 1/9,
+        nh^(−1)Δ^(2−ε) = n^(q)       -> 0 iff q < 0,
+
+    with q = beta - (1 - 2 epsilon)/3.  So the five conditions hold exactly
+    on the window 1/9 < beta < 1/3 - 2 epsilon/3, with 0 < epsilon < 1/2.
+    Raises ValueError for an epsilon outside (0, 1/2), or one that names,
+    in the order above, each product that tends the wrong way.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not epsilon < 0.5:
+        raise ValueError("epsilon must be < 1/2")
+    top = 1.0 / 3.0 - 2.0 * epsilon / 3.0
+    failed = [label for label, holds in (
+        ("Δ^(1/2−ε)h^(−1) not →0", beta < top),
+        ("nhΔ not →∞", beta < 1.0 / 3.0),
+        ("nh³Δ not →0", beta > 1.0 / 9.0),
+        ("nh^(−1)Δ^(2−ε) not →0", beta < top)) if not holds]
+    if failed:
+        raise ValueError("schedule fails rate conditions: "
+                         + "; ".join(failed))
 
 
 # In-window pairs one group of windows may hold: enough to spread numpy's
@@ -172,37 +203,31 @@ def _check_inputs(points: int, barrier: BarrierConfig, grid) -> np.ndarray:
     return grid
 
 
-def _estimate(path: SamplePath, k: KernelSpec, grid, estimator: str) -> EstimateResult:
-    grid = _check_inputs(path.x.shape[0], path.barrier, grid)
-    # one copy of a batched path's strided column, read by every pass below
-    x = np.ascontiguousarray(path.x)
-    values, f_hat = _nw_records(x, np.diff(path.l_reg), np.diff(path.r_reg),
-                                path.barrier, path.delta, k, grid)
-    undefined = ~np.isfinite(values)
-    meta = {"n": int(x.shape[0] - 1), "delta": path.delta, "h": k.bandwidth,
-            "kernel": k.name, "estimator": estimator}
-    return EstimateResult(grid=grid, values=values, denominators=f_hat,
-                          undefined_mask=undefined,
-                          boundary_mask=_boundary_mask(path, grid, k.bandwidth),
-                          meta=meta)
-
-
 def nw_discrete(path: SamplePath, k: KernelSpec, grid) -> EstimateResult:
     """Discrete-type estimator from grid observations (X, L, R).
 
     Regulator increments come from the simulated channels; in one-sided mode
     the (identically zero) R channel is omitted from the numerator.
     """
-    return _estimate(path, k, grid, "discrete")
+    grid = _check_inputs(path.x.shape[0], path.barrier, grid)
+    # one copy of a batched path's strided column, read by every pass below
+    x = np.ascontiguousarray(path.x)
+    values, f_hat = _nw_records(x, np.diff(path.l_reg), np.diff(path.r_reg),
+                                path.barrier, path.delta, k, grid)
+    return EstimateResult(grid=grid, values=values, denominators=f_hat,
+                          undefined_mask=~np.isfinite(values),
+                          boundary_mask=_boundary_mask(path, grid,
+                                                       k.bandwidth))
 
 
 def nw_continuous(fine_path: SamplePath, k: KernelSpec, grid) -> EstimateResult:
     """Continuous-type estimator: Riemann-Stieltjes sums on the fine grid.
 
-    With refine=1 (fine grid = observation grid) this coincides term-by-term
-    with nw_discrete.
+    The sums are the discrete estimator's on the fine path, with the fine
+    step ds as the time weight, so this is nw_discrete on the fine path;
+    with refine=1 (fine grid = observation grid) the two coincide.
     """
-    return _estimate(fine_path, k, grid, "continuous")
+    return nw_discrete(fine_path, k, grid)
 
 
 def write_estimate_csv(result: EstimateResult, out_path: str, seed) -> None:

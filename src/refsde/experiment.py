@@ -20,9 +20,9 @@ import numpy as np
 
 from .density import f_eval, invariant_density, sigma_eval
 from .estimate import (EstimateResult, _check_estimate, _check_inputs,
-                       _nw_records, bandwidth, delta_of_n)
-from .model import (BarrierConfig, DriftSpec, Schedule, _check_path,
-                    builtin_drift, epanechnikov, validate_schedule)
+                       _check_rates, _nw_records, bandwidth, delta_of_n)
+from .model import (BarrierConfig, DriftSpec, _check_path, builtin_drift,
+                    epanechnikov)
 from .simulate import SimConfig, _simulate, fine_config, write_csv
 # unused here; bench/traced.py wraps these four names on this module
 from .estimate import nw_continuous, nw_discrete  # noqa: F401
@@ -214,19 +214,27 @@ def _rase(values, defined, truth) -> float:
     return math.sqrt(float(np.mean(err * err)))
 
 
-def _sim_config(plan: ExperimentPlan, mode: str, n: int, seed) -> SimConfig:
-    """The observation-grid config of one replication's path."""
+def _sim_config(plan: ExperimentPlan, mode: str, n: int, beta: float,
+                r: int) -> SimConfig:
+    """The observation-grid config of replication r's path in a cell.  Its
+    stream key is built after the barrier, so that a mode that barrier_for
+    rejects fails with its ValueError, not with replication_seed's
+    KeyError."""
     return SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
                      barrier=plan.barrier_for(mode), n_steps=n,
-                     delta=delta_of_n(n), x0=plan.x0, seed=seed,
+                     delta=delta_of_n(n), x0=plan.x0,
+                     seed=replication_seed(plan.base_seed, plan.case_id, mode,
+                                           n, beta, r),
                      burn_in=plan.burn_in)
 
 
 def _check_cell(plan: ExperimentPlan, mode: str, n: int, beta: float) -> None:
     """Build the objects a replication of the cell uses, so that a value
-    they reject fails here, before any replication runs."""
-    fine_config(_sim_config(plan, mode, n, 0), plan.refine)
+    they reject fails here, before any replication runs: the bandwidth,
+    then the first replication's path config, whose stream key holds the
+    base seed, at the cell's refinement."""
     bandwidth(n, beta)
+    fine_config(_sim_config(plan, mode, n, beta, 1), plan.refine)
 
 
 # A replication task is (plan, mode, n, beta, r).  _batch_worker estimates
@@ -249,9 +257,8 @@ def _point_score(task, values, truth):
 def _task_config(task) -> SimConfig:
     """The config of the path the task's estimator reads: the observation
     grid's, or the fine grid's for the continuous estimator."""
-    plan, mode, n, beta, r = task
-    seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
-    cfg = _sim_config(plan, mode, n, seed)
+    plan = task[0]
+    cfg = _sim_config(*task)
     if plan.estimator_type == "continuous":
         return fine_config(cfg, plan.refine)
     return cfg
@@ -485,9 +492,18 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     Sigma = sigma^2 / F taken from the closed-form invariant density.  For
     the continuous-type estimator the sqrt(T h) scaling with T = n*Delta is
     the same number, so one formula covers both.  Replications whose
-    estimate is undefined at x0 are dropped and counted.  Raises ValueError
-    when x0 sits within one bandwidth of a barrier or outside the domain,
-    or the (n, Delta, h) schedule fails a required rate direction, before
+    estimate is undefined at x0 are dropped and counted.
+
+    The schedule Delta = n^(-2/3), h = n^(-beta) meets the rate conditions
+    of the discrete estimator's limit exactly on the window
+    1/9 < beta < 1/3 - 2 epsilon/3, 0 < epsilon < 1/2 (see `_check_rates`).
+    The continuous estimator is checked against the same window, which is
+    enough for it: with T = n Delta = n^(1/3), the window gives T h -> inf
+    (beta < 1/3) and T h^5 -> 0 (beta > 1/15), the continuous-record
+    conditions with undersmoothing (Bandi & Phillips, Econometrica 2003).
+
+    Raises ValueError when x0 sits within one bandwidth of a barrier or
+    outside the domain, or beta or epsilon lies outside the window, before
     any density or replication work.
     """
     h = bandwidth(n, beta)
@@ -495,10 +511,7 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     interior = (x0 - lower) > h and (mode != "two_sided" or (upper - x0) > h)
     if not interior:
         raise ValueError("x0 must be more than one bandwidth away from each barrier")
-    sched = Schedule(n=int(n), delta=delta, h=h, epsilon=epsilon)
-    warnings = validate_schedule(sched, "discrete_normality")
-    if warnings:
-        raise ValueError("schedule fails rate conditions: " + "; ".join(warnings))
+    _check_rates(beta, epsilon)
     plan = ExperimentPlan(case_id=case_id, barrier_mode=mode, sigma=sigma,
                           n_list=(n,), beta_list=(beta,),
                           n_replications=n_replications,

@@ -25,10 +25,8 @@ __all__ = [
     "DriftSpec",
     "KernelSpec",
     "SamplePath",
-    "Schedule",
     "builtin_drift",
     "epanechnikov",
-    "validate_schedule",
 ]
 
 BarrierMode = Literal["two_sided", "one_sided_lower"]
@@ -217,65 +215,3 @@ def builtin_drift(case_id: int) -> DriftSpec:
     if case_id == 3:
         return DriftSpec("case3", _case3, lipschitz_bound=None)
     raise ValueError(f"unknown drift case {case_id!r}: choose 1, 2 or 3")
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A concrete (n, delta, h) observation schedule plus the epsilon used in
-    the rate conditions."""
-
-    n: int
-    delta: float
-    h: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.n <= 0 or self.delta <= 0 or self.h <= 0 or self.epsilon <= 0:
-            raise ValueError("schedule fields must be strictly positive")
-        if not self.epsilon < 0.5:
-            raise ValueError("epsilon must be < 1/2")
-
-
-# (label, exponent fn of (gamma, beta, eps), wants_growth)
-# where delta = n^-gamma and h = n^-beta are inferred from the schedule point.
-_PRODUCTS = [
-    ("nΔ", lambda g, b, e: 1.0 - g, True),
-    ("Δ^(1/2−ε)h^(−1)", lambda g, b, e: -(0.5 - e) * g + b, False),
-    ("nhΔ", lambda g, b, e: 1.0 - b - g, True),
-    ("nh³Δ", lambda g, b, e: 1.0 - 3.0 * b - g, False),
-    ("nh^(−1)Δ^(2−ε)", lambda g, b, e: 1.0 + b - (2.0 - e) * g, False),
-]
-_REGIMES = {
-    "discrete_consistency": (0, 1),
-    "discrete_normality": (0, 1, 2, 3, 4),
-}
-
-
-def validate_schedule(s: Schedule, regime: str) -> list[str]:
-    """Diagnose whether the rate products tend the required directions.
-
-    The schedule is read as one member of the power-law family delta = n^-gamma,
-    h = n^-beta; each product is evaluated at n and at 4n and the two values
-    compared.  Returns a (possibly empty) list of warning strings; never raises
-    for a well-formed schedule.
-    """
-    if regime not in _REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    log_n = math.log(s.n)
-    if log_n == 0.0:
-        # n=1 carries no growth information; treat every direction as violated.
-        return [f"{label} direction undetermined at n=1" for label in
-                (_PRODUCTS[i][0] for i in _REGIMES[regime])]
-    gamma = -math.log(s.delta) / log_n
-    beta = -math.log(s.h) / log_n
-    warnings = []
-    for idx in _REGIMES[regime]:
-        label, expo, wants_growth = _PRODUCTS[idx]
-        p = expo(gamma, beta, s.epsilon)
-        at_n = math.exp(p * log_n)
-        at_4n = math.exp(p * math.log(4 * s.n))
-        if wants_growth and not at_4n > at_n:
-            warnings.append(f"{label} not →∞")
-        if not wants_growth and not at_4n < at_n:
-            warnings.append(f"{label} not →0")
-    return warnings

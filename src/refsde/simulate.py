@@ -30,9 +30,9 @@ order, so each path is bitwise the same whichever steps it:
 
 `_simulate` is the one way in: it steps a batch of at least _MIN_BATCH
 paths with the vector kernel and a narrower one with the scalar kernel, and
-hands back the finished batch arrays.  `simulate_paths` wraps their columns
-into SamplePaths, and `simulate_path` is its batch of one; the replication
-harness reads the arrays themselves.
+hands back the finished batch arrays.  `simulate_path` wraps column 0 of a
+batch of one into a SamplePath; the replication harness reads the arrays of
+its batches themselves.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ __all__ = [
     "fine_config",
     "simulate_fine",
     "simulate_path",
-    "simulate_paths",
     "stream_rng",
     "write_csv",
     "write_path_csv",
@@ -89,11 +88,15 @@ def stream_rng(seed) -> np.random.Generator:
     Distinct keys give independent streams; the same key always reproduces the
     same draws, independent of execution order elsewhere.
     """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        _entropy(seed))))
+
+
+def _entropy(seed) -> tuple[int, ...]:
+    """A stream key's entries as a tuple of ints."""
     if isinstance(seed, (int, np.integer)):
-        entropy = (int(seed),)
-    else:
-        entropy = tuple(int(s) for s in seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        return (int(seed),)
+    return tuple(int(s) for s in seed)
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,10 @@ class SimConfig:
             raise ValueError("n_steps and burn_in must be nonnegative")
         if self.x0 is not None and not self.barrier.contains(self.x0):
             raise ValueError("x0 must lie in the barrier domain")
+        # SeedSequence refuses negative entropy, but only once a path draws
+        if any(s < 0 for s in _entropy(self.seed)):
+            raise ValueError("seed entries must be nonnegative: "
+                             f"{self.seed!r}")
 
     @property
     def start(self) -> float:
@@ -257,46 +264,20 @@ def _settle(nxt: float, lower: float, hi: float) -> float:
 def simulate_path(cfg: SimConfig) -> SamplePath:
     """Simulate n_steps reflected Euler steps after the burn-in.
 
-    Fully deterministic given cfg.seed.  The path is `simulate_paths`'s
-    batch of one, which the scalar kernel `_steps` steps.  The whole path's
-    draws are taken per channel (normals, then lower uniforms, then upper
-    uniforms), not step by step.  The working set is the records: states,
-    signed increments and upper radicand terms while the path steps, then
-    states and both regulators, plus one block of at most _BLOCK steps as
-    Python floats.  A failing step raises its
-    SimulationDivergedError.
+    Fully deterministic given cfg.seed.  The path is column 0 of
+    `_simulate`'s batch of one, which the scalar kernel `_steps` steps.  The
+    whole path's draws are taken per channel (normals, then lower uniforms,
+    then upper uniforms), not step by step.  The working set is the
+    records: states, signed increments and upper radicand terms while the
+    path steps, then states and both regulators, plus one block of at most
+    _BLOCK steps as Python floats.  A failing step raises the
+    SimulationDivergedError that the kernel filed, with its step index.
     """
-    path, = simulate_paths([cfg])
-    if isinstance(path, SimulationDivergedError):
-        raise path
-    return path
-
-
-def simulate_paths(cfgs) -> list:
-    """Simulate paths that share every SimConfig field but the seed, all at
-    once, on one record per path.
-
-    Returns one entry per config, in order: the SamplePath that
-    simulate_path(cfg) returns, bit for bit, or the SimulationDivergedError
-    (same message and step_index) that it would raise.  A failing path does
-    not stop the others.  The paths are the columns of `_simulate`'s batch
-    arrays: read-only views, each checked by SamplePath.
-    """
-    cfgs = list(cfgs)
-    if not cfgs:
-        return []
-    return _paths(cfgs, *_simulate(cfgs))
-
-
-def _paths(cfgs: list, x, l_reg, r_reg, errors: dict) -> list:
-    """The columns of `_simulate`'s arrays as SamplePaths of their configs
-    (delta, seed and barrier; the times follow from delta), or the errors
-    that the kernel filed for them."""
-    cfg = cfgs[0]
-    return [errors[j] if j in errors else
-            SamplePath(delta=cfg.delta, x=x[:, j], l_reg=l_reg[:, j],
-                       r_reg=r_reg[:, j], seed=c.seed, barrier=cfg.barrier)
-            for j, c in enumerate(cfgs)]
+    x, l_reg, r_reg, errors = _simulate([cfg])
+    if errors:
+        raise errors[0]
+    return SamplePath(delta=cfg.delta, x=x[:, 0], l_reg=l_reg[:, 0],
+                      r_reg=r_reg[:, 0], seed=cfg.seed, barrier=cfg.barrier)
 
 
 def _simulate(cfgs: list, kernel=None):
@@ -450,9 +431,7 @@ def fine_config(cfg: SimConfig, refine: int) -> SimConfig:
 # --- CSV import/export -------------------------------------------------------
 
 def format_seed(seed) -> str:
-    if isinstance(seed, (int, np.integer)):
-        return str(int(seed))
-    return ",".join(str(int(s)) for s in seed)
+    return ",".join(map(str, _entropy(seed)))
 
 
 def _cell(v) -> str:

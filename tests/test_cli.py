@@ -131,6 +131,10 @@ def one_sided_csv(tmp_path_factory):
     pytest.param(_NORM + ["--sigma", "inf"], id="normality-sigma-inf"),
     pytest.param(_NORM[:4] + ["inf"] + _NORM[5:] + ["--mode", "one-sided"],
                  id="normality-one-sided-x0-inf"),
+    pytest.param(_EXP + ["--seed", "-1", "--threads", "1"],
+                 id="experiment-seed-negative"),
+    pytest.param(_NORM + ["--seed", "-1", "--threads", "1"],
+                 id="normality-seed-negative"),
 ])
 def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
                                           one_sided_csv, capsys):
@@ -155,16 +159,22 @@ def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
     pytest.param(["density", "--case", "1", "--upper", "5e307"],
                  "grid points must be finite", id="density-upper-5e307"),
     pytest.param(["density", "--case", "1", "--upper", "5e307", "--grid", "3"],
-                 "drift overflows", id="density-upper-5e307-grid-3"),
+                 "domain width", id="density-upper-5e307-grid-3"),
     pytest.param(["density", "--case", "1", "--upper", "5e307", "--grid", "3",
-                  "--quad-panels", "2"], "drift overflows",
+                  "--quad-panels", "2"], "domain width",
                  id="density-upper-5e307-quad-panels-2"),
+    pytest.param(["density", "--case", "3", "--upper", "1e308", "--grid", "1"],
+                 "domain width", id="density-case-3-upper-1e308"),
+    pytest.param(["density", "--case", "1", "--upper", "2.9e307", "--grid",
+                  "3"], "drift overflows", id="density-upper-2.9e307-grid-3"),
 ])
 def test_out_of_range_density_inputs_exit_two_at_once(argv, message, tmp_path,
                                                       capsys):
     # a sigma whose sigma^2 or 2/sigma^2 is not finite, a grid that
-    # overflows, or a normalizer level that meets a NaN drift: refused
-    # before the quadrature doubles, without a numpy warning
+    # overflows, or a domain so wide that the graded map's slope 6 W s (1 - s)
+    # overflows: refused before the quadrature; a normalizer level that
+    # meets a NaN drift: refused before the quadrature doubles; each without
+    # a numpy warning
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

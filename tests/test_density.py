@@ -656,8 +656,10 @@ def test_simpson_nodes_weights_are_cached_read_only():
 
 @pytest.mark.parametrize("panels", [2, 1024])
 def test_normalizer_refuses_a_nan_level_at_once(panels):
-    # case 1's drift is NaN past 2.9e307 (sin of an overflowed 2 pi x): the
-    # first level holds NaN, so the doubling stops there, without a warning
+    # case 1's drift is NaN from about 2.86e307 (sin of an overflowed
+    # 2 pi x): the first level holds NaN, so the doubling stops there,
+    # without a warning.  The domain stays narrow enough that 6 W is
+    # finite, which invariant_density checks before any quadrature.
     calls = []
     base = builtin_drift(1)
 
@@ -669,7 +671,7 @@ def test_normalizer_refuses_a_nan_level_at_once(panels):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="drift overflows"):
             invariant_density(DriftSpec("counting", counting), SIGMA,
-                              BarrierConfig.two_sided(0.0, 5e307),
+                              BarrierConfig.two_sided(0.0, 2.9e307),
                               quad_panels=panels)
     assert sum(calls) == (2 * panels + 1) ** 2
 

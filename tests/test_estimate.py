@@ -268,8 +268,6 @@ def test_continuous_at_refine_one_equals_discrete():
     mask = ~a.undefined_mask
     np.testing.assert_array_equal(a.values[mask], b.values[mask])
     np.testing.assert_array_equal(a.denominators, b.denominators)
-    assert a.meta["estimator"] == "discrete"
-    assert b.meta["estimator"] == "continuous"
 
 
 def _coarsen(p, m):
@@ -310,10 +308,10 @@ def test_estimate_result_checks_mask_consistency():
     g = np.array([1.0])
     with pytest.raises(ValueError):
         EstimateResult(g, np.array([0.5]), np.array([0.1]),
-                       np.array([True]), np.array([False]), {})
+                       np.array([True]), np.array([False]))
     with pytest.raises(ValueError):
         EstimateResult(g, np.array([0.5]), np.array([-0.1]),
-                       np.array([False]), np.array([False]), {})
+                       np.array([False]), np.array([False]))
 
 
 def test_estimator_input_validation():

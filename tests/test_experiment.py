@@ -47,7 +47,7 @@ def _result(grid, values):
     und = ~np.isfinite(values)
     return EstimateResult(np.asarray(grid, dtype=float), values,
                           np.where(und, 0.0, 1.0), und,
-                          np.zeros(values.size, dtype=bool), {})
+                          np.zeros(values.size, dtype=bool))
 
 
 def test_rase_hand_values():

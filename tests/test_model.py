@@ -1,21 +1,26 @@
 """Tests for the model layer: drifts, barriers, paths, kernels, schedules."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import refsde
 from refsde import (
     BarrierConfig,
     DriftSpec,
     SamplePath,
-    Schedule,
+    bandwidth,
     builtin_drift,
+    delta_of_n,
     epanechnikov,
-    validate_schedule,
 )
+from refsde.estimate import _check_rates
 
 TWO_SIDED = BarrierConfig.two_sided(0.0, 3.0)
 
@@ -50,9 +55,10 @@ def test_builtin_drift_accepts_arrays():
 @pytest.mark.parametrize("top", [3.0, 1e-3, 4e7])
 @pytest.mark.parametrize("cid", [1, 2, 3])
 def test_builtin_drift_array_call_is_bitwise_the_scalar_call(cid, top, size):
-    # simulate_paths evaluates the drift once per step on all paths' states,
-    # simulate_path on one Python float at a time; both must give each path
-    # the same bits.  [0, 4e7] reaches where one-sided case 1 paths run off.
+    # the vector kernel evaluates the drift once per step on all paths'
+    # states, the scalar kernel on one Python float at a time; both must give
+    # each path the same bits.  [0, 4e7] reaches where one-sided case 1
+    # paths run off.
     fn = builtin_drift(cid).fn
     xs = np.random.default_rng([cid, size]).uniform(0.0, top, size)
     xs[0] = 0.0
@@ -206,42 +212,100 @@ def test_one_sided_path_requires_zero_upper_regulator():
 
 
 def test_schedule_field_validation():
-    with pytest.raises(ValueError):
-        Schedule(n=0, delta=0.1, h=0.1, epsilon=0.01)
-    with pytest.raises(ValueError):
-        Schedule(n=100, delta=-0.1, h=0.1, epsilon=0.01)
-    with pytest.raises(ValueError):
-        Schedule(n=100, delta=0.1, h=0.1, epsilon=0.5)
+    # epsilon must lie in (0, 1/2) whatever beta is
+    for eps in (0.0, -0.1, 0.5, 0.7, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            _check_rates(0.3, eps)
 
 
-def _power_schedule(n, gamma, beta, eps=0.01):
-    return Schedule(n=n, delta=float(n) ** -gamma, h=float(n) ** -beta,
-                    epsilon=eps)
+# The rate rule that the window replaces, kept as the oracle: each product of
+# the normality conditions is n's power with an exponent in (gamma, beta,
+# epsilon), where Delta = n^-gamma and h = n^-beta are read off the schedule
+# point, and is evaluated at n and at 4n to see which way it tends.
+_PRODUCTS = [
+    ("nΔ", lambda g, b, e: 1.0 - g, True),
+    ("Δ^(1/2−ε)h^(−1)", lambda g, b, e: -(0.5 - e) * g + b, False),
+    ("nhΔ", lambda g, b, e: 1.0 - b - g, True),
+    ("nh³Δ", lambda g, b, e: 1.0 - 3.0 * b - g, False),
+    ("nh^(−1)Δ^(2−ε)", lambda g, b, e: 1.0 + b - (2.0 - e) * g, False),
+]
+
+
+def _oracle_failures(n, beta, eps):
+    log_n = math.log(n)
+    gamma = -math.log(delta_of_n(n)) / log_n
+    b = -math.log(bandwidth(n, beta)) / log_n
+    failed = []
+    for label, expo, wants_growth in _PRODUCTS:
+        p = expo(gamma, b, eps)
+        at_n = math.exp(p * log_n)
+        at_4n = math.exp(p * math.log(4 * n))
+        if wants_growth and not at_4n > at_n:
+            failed.append(f"{label} not →∞")
+        if not wants_growth and not at_4n < at_n:
+            failed.append(f"{label} not →0")
+    return failed
+
+
+def _window_failures(beta, eps):
+    prefix = "schedule fails rate conditions: "
+    try:
+        _check_rates(beta, eps)
+    except ValueError as exc:
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):].split("; ")
+    return []
 
 
 def test_validate_schedule_table_rates_are_clean():
-    s = _power_schedule(900, 2.0 / 3.0, 0.3)
-    assert validate_schedule(s, "discrete_normality") == []
+    # the paper's table betas at the default epsilon, at n = 400 .. 1600
+    for n in (400, 900, 1600):
+        for beta in (0.3, 0.2, 0.15):
+            assert _window_failures(beta, 0.01) == []
+            assert _oracle_failures(n, beta, 0.01) == []
 
 
-def test_validate_schedule_flags_vanishing_time_horizon():
-    s = _power_schedule(900, 2.0, 0.3)
-    assert validate_schedule(s, "discrete_consistency") == ["nΔ not →∞"]
+def test_rate_window_names_the_oracle_products():
+    # a seeded sweep, n log-uniform in [10, 1e6]: the window names the same
+    # products, in the same order, as the five-product rule at every point
+    rng = np.random.default_rng(20260)
+    lists = set()
+    for _ in range(20_000):
+        n = int(round(10.0 ** rng.uniform(1.0, 6.0)))
+        eps = rng.uniform(0.0, 0.5)
+        beta = rng.uniform(0.0, 1.0)
+        want = _oracle_failures(n, beta, eps)
+        assert _window_failures(beta, eps) == want, (n, beta, eps)
+        lists.add(tuple(want))
+    # the sweep meets the window, each edge of it, and each product
+    assert () in lists
+    assert {("nh³Δ not →0",),
+            ("Δ^(1/2−ε)h^(−1) not →0", "nh^(−1)Δ^(2−ε) not →0"),
+            ("Δ^(1/2−ε)h^(−1) not →0", "nhΔ not →∞",
+             "nh^(−1)Δ^(2−ε) not →0")} <= lists
 
 
-def test_validate_schedule_wide_bandwidth_consistency_ok():
-    s = _power_schedule(900, 2.0 / 3.0, 0.15)
-    assert validate_schedule(s, "discrete_consistency") == []
+def _modules():
+    yield refsde
+    for info in pkgutil.iter_modules(refsde.__path__):
+        if info.name != "__main__":
+            yield importlib.import_module(f"refsde.{info.name}")
 
 
-def test_validate_schedule_undetermined_at_n_one():
-    s = Schedule(n=1, delta=0.5, h=0.5, epsilon=0.01)
-    warnings = validate_schedule(s, "discrete_consistency")
-    assert len(warnings) == 2
-    assert all("undetermined" in w for w in warnings)
-
-
-def test_validate_schedule_unknown_regime():
-    s = _power_schedule(100, 2.0 / 3.0, 0.3)
-    with pytest.raises(ValueError):
-        validate_schedule(s, "weekly")
+@pytest.mark.parametrize("module", list(_modules()),
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its object is gone breaks `import *`.
+    # The package has no __all__: its names are its imports, each one a
+    # name that a module exports.
+    names = getattr(module, "__all__", None)
+    if names is None:
+        names = [name for name, value in vars(module).items()
+                 if not name.startswith("_") and not inspect.ismodule(value)]
+        exported = set().union(*(m.__all__ for m in _modules()
+                                 if m is not module))
+        assert set(names) <= exported
+    assert [name for name in names if not hasattr(module, name)] == []
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(names) <= set(namespace)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from refsde import (
     read_path_csv,
     simulate_fine,
     simulate_path,
-    simulate_paths,
     write_path_csv,
 )
 from refsde.simulate import stream_rng
@@ -402,14 +402,19 @@ def test_simulate_path_working_set_is_linear():
 
 # --- batches: many same-config paths, through either kernel ----------------
 
-# simulate_paths picks one kernel by the batch's width; the batch tests run
-# each width through both, so that neither goes untested at any width
+# _simulate picks one kernel by the batch's width; the batch tests run each
+# width through both, so that neither goes untested at any width
 _KERNELS = (sim_module._steps, sim_module._vector_steps)
 
 
 def _batch(cfgs, kernel):
-    """simulate_paths(cfgs), stepped by the given kernel."""
-    return sim_module._paths(cfgs, *sim_module._simulate(cfgs, kernel))
+    """Each config's column of _simulate(cfgs), stepped by the given
+    kernel, as a namespace of x, l_reg and r_reg, or the error that the
+    kernel filed for it."""
+    x, l_reg, r_reg, errors = sim_module._simulate(cfgs, kernel)
+    return [errors[j] if j in errors else
+            SimpleNamespace(x=x[:, j], l_reg=l_reg[:, j], r_reg=r_reg[:, j])
+            for j in range(len(cfgs))]
 
 
 @pytest.mark.parametrize("width, kernel", [
@@ -426,9 +431,10 @@ def test_simulate_paths_picks_its_kernel_by_width(monkeypatch, width, kernel):
         monkeypatch.setattr(sim_module, name, spy)
     base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
                      n_steps=20, delta=0.01)
-    paths = simulate_paths([replace(base, seed=s) for s in range(width)])
+    x, _, _, errors = sim_module._simulate([replace(base, seed=s)
+                                            for s in range(width)])
     assert used == [kernel]
-    assert len(paths) == width
+    assert x.shape == (21, width) and errors == {}
 
 
 def test_step_at_most_one_regulator_fires():
@@ -452,7 +458,6 @@ def _assert_batch_matches_oracle(cfgs):
             assert np.array_equal(p.x, x)
             assert np.array_equal(p.l_reg, l_reg)
             assert np.array_equal(p.r_reg, r_reg)
-            assert p.seed == cfg.seed
 
 
 _BATCH_SEEDS = (0, 7, (4, 2), 11, (3, 1, 4))
@@ -491,7 +496,8 @@ def _assert_batch_matches_alone(cfgs):
         with np.errstate(over="ignore", invalid="ignore"):
             batch = _batch(cfgs, kernel)
         for want, got in zip(alone, batch, strict=True):
-            assert type(got) is type(want)
+            assert (isinstance(got, SimulationDivergedError)
+                    == isinstance(want, SimulationDivergedError))
             if isinstance(want, SimulationDivergedError):
                 assert str(got) == str(want)
                 assert got.step_index == want.step_index
@@ -536,14 +542,14 @@ def test_narrow_domain_batch_matches_paths_alone():
 
 def test_simulate_paths_rejects_mixed_configs():
     base = _cfg()
-    assert simulate_paths([]) == []
     with pytest.raises(ValueError, match="only in seed"):
-        simulate_paths([base, replace(base, seed=1, n_steps=base.n_steps + 1)])
+        sim_module._simulate([base, replace(base, seed=1,
+                                            n_steps=base.n_steps + 1)])
 
 
 def test_batch_at_the_budget_peaks_within_its_arrays():
-    # simulate_paths keeps each step's scaled normal and lower radicand term
-    # in the record slots (state and signed increment) that the step
+    # _simulate keeps each step's scaled normal and lower radicand term in
+    # the record slots (state and signed increment) that the step
     # overwrites, and only the upper radicand terms beside them: 3 floats
     # per path-step.  It frees those before the paths' regulators take
     # their place (states and two regulators, again 3), so the peak stays
@@ -554,32 +560,30 @@ def test_batch_at_the_budget_peaks_within_its_arrays():
     base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
                      n_steps=n, delta=0.01)
     cfgs = [replace(base, seed=(2, r)) for r in range(width)]
-    simulate_paths(cfgs[:2])  # leave first-call imports out of the count
+    sim_module._simulate(cfgs[:2])  # leave first-call imports out
     tracemalloc.start()
     try:
-        paths = simulate_paths(cfgs)
+        x = sim_module._simulate(cfgs)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(paths) == width
+    assert x.shape == (n + 1, width)
     per = peak / (width * n * 8)
     assert per < 4.0, f"peak {per:.2f} floats per path-step"
 
 
 @pytest.mark.parametrize("mode", sorted(_BARRIERS))
 def test_batched_paths_are_read_only(mode):
-    # the paths are views of the batch's shared arrays: a write through one
-    # path would change it under its neighbours' feet
-    base = SimConfig(drift=builtin_drift(1), sigma=0.2,
-                     barrier=_BARRIERS[mode], n_steps=50, delta=0.01,
-                     burn_in=5)
-    cfgs = [replace(base, seed=s) for s in _BATCH_SEEDS]
-    for kernel in _KERNELS:
-        for p in _batch(cfgs, kernel):
-            for arr in (p.times, p.x, p.l_reg, p.r_reg):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 1.0
+    # a path's arrays are views of its batch's arrays, which a write
+    # through the path would change
+    cfg = SimConfig(drift=builtin_drift(1), sigma=0.2,
+                    barrier=_BARRIERS[mode], n_steps=50, delta=0.01,
+                    burn_in=5, seed=(4, 2))
+    p = simulate_path(cfg)
+    for arr in (p.times, p.x, p.l_reg, p.r_reg):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def _reflection_gap_violations(p, thresh):
