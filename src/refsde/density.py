@@ -159,12 +159,6 @@ def _integral_from(fn, lower: float, x, n_panels: int):
     return float(out[0]) if scalar else out
 
 
-def _fixed_simpson(fn, a: float, b: float, n_panels: int) -> float:
-    offsets, w = _simpson_nodes_weights(n_panels)
-    nodes = a + (b - a) * offsets
-    return float(np.asarray(fn(nodes)) @ w) * (b - a)
-
-
 @dataclass(frozen=True)
 class InvariantDensity:
     """Closed-form invariant density, normalized over its support.
@@ -477,7 +471,8 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
 
     pi is extended by zero outside the domain, so the r-range is clipped to
     the part of [-1,1] that stays inside [l, u] (or [l, inf) one-sided).
-    The r-rule is Simpson with d.quad_panels panels, and each node's pi
+    The r-rule is the inner integral's composite Simpson rule
+    (`_integral_from`) with d.quad_panels panels, and each node's pi
     is pi_eval's, read from the density's tables: no drift is evaluated
     unless a one-sided target reaches a slab past the first one beyond
     support_hi, which the tail test already built.  Raises pi_eval's
@@ -496,7 +491,7 @@ def f_eval(d: InvariantDensity, k: KernelSpec, x: float) -> float:
     def integrand(r):
         return np.asarray(k.fn(r)) * _pi(d, x + r * h)
 
-    val = _fixed_simpson(integrand, r_lo, r_hi, d.quad_panels)
+    val = _integral_from(integrand, r_lo, r_hi, d.quad_panels)
     return max(val, 0.0)
 
 

@@ -9,11 +9,16 @@ draws from its own counter-based RNG stream keyed by
 so results are bit-identical no matter how replications are ordered,
 batched or split across worker processes.  Slot r=0 is reserved: no
 replication draws from it.
+
+Every path of one (barrier mode, n) group shares one path config
+(`_path_config`), so a batch of replications is that config and its
+replications' stream keys: the simulator steps one path of the config per
+key.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -56,15 +61,20 @@ class ReplicationError(RuntimeError):
     """A simulation or estimation failure inside one replication of a cell."""
 
 
-def _beta_key(beta: float) -> int:
-    return int(round(beta * 1e6))
-
-
 def replication_seed(base_seed: int, case_id: int, mode: str, n: int,
                      beta: float, r: int) -> tuple[int, ...]:
-    """Stream key for replication r = 1..N of a cell (r=0 is reserved)."""
+    """Stream key for replication r = 1..N of a cell (r=0 is reserved).
+
+    Raises ValueError for a mode that is not concrete ("both" included) and
+    for a beta whose key round(beta * 1e6) is not a finite number.
+    """
+    if mode not in _MODE_INDEX:
+        raise ValueError(f"not a concrete barrier mode: {mode!r}")
+    beta_key = beta * 1e6
+    if not math.isfinite(beta_key):
+        raise ValueError(f"stream key needs a finite beta * 1e6: {beta!r}")
     return (int(base_seed), int(case_id), _MODE_INDEX[mode], int(n),
-            _beta_key(beta), int(r))
+            int(round(beta_key)), int(r))
 
 
 @dataclass(frozen=True)
@@ -214,27 +224,26 @@ def _rase(values, defined, truth) -> float:
     return math.sqrt(float(np.mean(err * err)))
 
 
-def _sim_config(plan: ExperimentPlan, mode: str, n: int, beta: float,
-                r: int) -> SimConfig:
-    """The observation-grid config of replication r's path in a cell.  Its
-    stream key is built after the barrier, so that a mode that barrier_for
-    rejects fails with its ValueError, not with replication_seed's
-    KeyError."""
-    return SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
-                     barrier=plan.barrier_for(mode), n_steps=n,
-                     delta=delta_of_n(n), x0=plan.x0,
-                     seed=replication_seed(plan.base_seed, plan.case_id, mode,
-                                           n, beta, r),
-                     burn_in=plan.burn_in)
+def _path_config(plan: ExperimentPlan, mode: str, n: int) -> SimConfig:
+    """The config of every path of a (mode, n) group, seed aside: the
+    observation grid's, or the fine grid's for the continuous estimator.
+    The fine config is built for either estimator, so plan.refine is
+    checked for both."""
+    cfg = SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
+                    barrier=plan.barrier_for(mode), n_steps=n,
+                    delta=delta_of_n(n), x0=plan.x0, burn_in=plan.burn_in)
+    fine = fine_config(cfg, plan.refine)
+    return fine if plan.estimator_type == "continuous" else cfg
 
 
 def _check_cell(plan: ExperimentPlan, mode: str, n: int, beta: float) -> None:
     """Build the objects a replication of the cell uses, so that a value
     they reject fails here, before any replication runs: the bandwidth,
-    then the first replication's path config, whose stream key holds the
-    base seed, at the cell's refinement."""
+    the group's path config at the plan's refinement, and that config
+    under the first replication's stream key, which holds the base seed."""
     bandwidth(n, beta)
-    fine_config(_sim_config(plan, mode, n, beta, 1), plan.refine)
+    key = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, 1)
+    replace(_path_config(plan, mode, n), seed=key)
 
 
 # A replication task is (plan, mode, n, beta, r).  _batch_worker estimates
@@ -254,16 +263,6 @@ def _point_score(task, values, truth):
     return float(values[0])
 
 
-def _task_config(task) -> SimConfig:
-    """The config of the path the task's estimator reads: the observation
-    grid's, or the fine grid's for the continuous estimator."""
-    plan = task[0]
-    cfg = _sim_config(*task)
-    if plan.estimator_type == "continuous":
-        return fine_config(cfg, plan.refine)
-    return cfg
-
-
 # Path-steps in one batch of replications stepped together.  It bounds the
 # batch's draws and records, at most three floats per path-step (3.1 MB),
 # and lets the 60 replications of one (mode, n = 1600) group, three betas
@@ -271,28 +270,25 @@ def _task_config(task) -> SimConfig:
 _BATCH_STEPS = 2**17
 
 
-def _path_steps(task) -> int:
-    cfg = _task_config(task)
-    return cfg.burn_in + cfg.n_steps
+def _batches(tasks) -> list:
+    """The units of work of _map_replications: (path config, indices of
+    tasks) pairs.
 
-
-def _batches(tasks) -> list[list[int]]:
-    """Indices of tasks, cut into the units of work of _map_replications.
-
-    Tasks whose paths share every SimConfig field but the seed (the same
-    plan, mode and n) form a group, taken in task order.  A group is cut
-    into the fewest equal batches that each hold at most _BATCH_STEPS
+    Tasks of the same plan, mode and n form a group, taken in task order,
+    whose paths all have the group's `_path_config`.  A group is cut into
+    the fewest equal batches that each hold at most _BATCH_STEPS
     path-steps; `_simulate` picks the kernel that steps a batch.
     """
     groups: dict = {}
     for i, task in enumerate(tasks):
         groups.setdefault(task[:3], []).append(i)
     batches = []
-    for members in groups.values():
-        per = max(1, _BATCH_STEPS // _path_steps(tasks[members[0]]))
+    for (plan, mode, n), members in groups.items():
+        cfg = _path_config(plan, mode, n)
+        per = max(1, _BATCH_STEPS // (cfg.burn_in + cfg.n_steps))
         count = -(-len(members) // per)
-        batches.extend(members[b * len(members) // count:
-                               (b + 1) * len(members) // count]
+        batches.extend((cfg, members[b * len(members) // count:
+                                     (b + 1) * len(members) // count])
                        for b in range(count))
     return batches
 
@@ -301,6 +297,8 @@ def _batch_worker(job):
     """Simulate one batch of replications and score each on its column of
     the batch's arrays, never wrapped in a SamplePath or an EstimateResult.
 
+    A job is (score, grid, cfg, tasks): the batch's path config and its
+    tasks, whose stream keys `replication_seed` builds, one column each.
     Once per batch: the grid's checks, the truth on the grid and one kernel
     per beta.  Per column: the regulator increments, SamplePath's checks on
     them (`_check_path`), the one NW route (`_nw_records`), EstimateResult's
@@ -309,13 +307,14 @@ def _batch_worker(job):
     estimating the task's path from simulate_path (or simulate_fine) with
     nw_discrete (or nw_continuous) and scoring that.
     """
-    score, grid, tasks = job
-    cfgs = [_task_config(t) for t in tasks]
+    score, grid, cfg, tasks = job
     try:
-        x, l_reg, r_reg, errors = _simulate(cfgs)
+        x, l_reg, r_reg, errors = _simulate(cfg, [
+            replication_seed(p.base_seed, p.case_id, mode, n, beta, r)
+            for p, mode, n, beta, r in tasks])
     except Exception as exc:
         return [exc] * len(tasks)
-    cfg, n = cfgs[0], tasks[0][2]
+    n = tasks[0][2]
     try:
         grid = _check_inputs(x.shape[0], cfg.barrier, grid)
         truth = cfg.drift(grid)
@@ -364,34 +363,35 @@ def _map_replications(score, tasks, grid, threads):
     score(task, values, truth) from the estimate values of the task's
     simulated path on ``grid`` and the truth there (see _batch_worker).
 
-    The unit of work is a batch (see _batches): same-config paths stepped
-    together by one `_simulate` call.  Batches go largest first to the
-    workers, serially or in one pool, one batch at a time: a batch already
-    holds up to _BATCH_STEPS path-steps, and chunks of several batches only
-    leave one worker a longer tail (criterion 5's continuous half, 63
-    batches on 2 workers, took 6.4 s in chunks of seven against 6.0 s one
-    at a time; medians of five runs on a 2-vCPU VM).  Tasks hold only
-    picklable primitives (plans, numbers, strings), and each carries its own
-    stream key, and a column's estimate reads only its own column, so
-    neither the batching nor the partition into workers can change any
-    result.  A task that raises does not stop the others: its
-    slot holds the exception in place of a result (see _checked).  One call
-    builds at most one pool, so a command sends all its replications through
-    one call; a worker process that dies raises BrokenProcessPool and ends
-    the call.  The pool has no more workers than there are batches: under
-    the fork start method every worker is forked at the first submit, and a
-    spare one would only sit idle.
+    The unit of work is a batch (see _batches): one path config and the
+    stream keys of its tasks, stepped together by one `_simulate` call.
+    Batches go largest first to the workers, serially or in one pool, one
+    batch at a time: a batch already holds up to _BATCH_STEPS path-steps,
+    and chunks of several batches only leave one worker a longer tail
+    (criterion 5's continuous half, 63 batches on 2 workers, took 6.4 s in
+    chunks of seven against 6.0 s one at a time; medians of five runs on a
+    2-vCPU VM).  A job holds only picklable values (the path config, plans,
+    numbers, strings), each task names its own stream key, and a column's
+    estimate reads only its own column, so neither the batching nor the
+    partition into workers can change any result.  A task that raises does
+    not stop the others: its slot holds the exception in place of a result
+    (see _checked).  One call builds at most one pool, so a command sends
+    all its replications through one call; a worker process that dies
+    raises BrokenProcessPool and ends the call.  The pool has no more
+    workers than there are batches: under the fork start method every
+    worker is forked at the first submit, and a spare one would only sit
+    idle.
     """
-    batches = sorted(_batches(tasks),
-                     key=lambda b: -len(b) * _path_steps(tasks[b[0]]))
-    jobs = [(score, grid, [tasks[i] for i in b]) for b in batches]
+    batches = sorted(_batches(tasks), key=lambda b: -len(b[1]) * (
+        b[0].burn_in + b[0].n_steps))
+    jobs = [(score, grid, cfg, [tasks[i] for i in b]) for cfg, b in batches]
     if threads is None or threads <= 1 or len(jobs) <= 1:
         done = list(map(_batch_worker, jobs))
     else:
         with _process_pool(min(threads, len(jobs))) as pool:
             done = list(pool.map(_batch_worker, jobs))
     results = [None] * len(tasks)
-    for batch, values in zip(batches, done):
+    for (_, batch), values in zip(batches, done):
         for i, value in zip(batch, values):
             results[i] = value
     return results

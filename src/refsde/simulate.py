@@ -28,11 +28,17 @@ order, so each path is bitwise the same whichever steps it:
 - the vector kernel, `_vector_steps`: one drift call and one pass of array
   arithmetic per time index across all the columns.
 
-`_simulate` is the one way in: it steps a batch of at least _MIN_BATCH
-paths with the vector kernel and a narrower one with the scalar kernel, and
-hands back the finished batch arrays.  `simulate_path` wraps column 0 of a
-batch of one into a SamplePath; the replication harness reads the arrays of
-its batches themselves.
+`_simulate` is the one way in.  A batch is one config and a list of stream
+keys: it steps one path of the config per key, so the paths of a batch
+differ only in their draws.  A batch of at least _MIN_BATCH paths steps
+with the vector kernel and a narrower one with the scalar kernel, and
+`_simulate` hands back the finished batch arrays.  `simulate_path(cfg)` is
+the batch of one, `cfg` with its own seed, wrapped into a SamplePath; the
+replication harness reads the arrays of its batches themselves.
+
+`SimConfig` refuses a step too large for step 0's arithmetic to stay
+finite, so an out-of-scale sigma, delta or start fails when the config is
+built, not after a run.
 """
 from __future__ import annotations
 
@@ -70,6 +76,12 @@ _BLOCK = 2**14
 # barrier modes: the break-even widths were 14-18 (medians of five runs
 # each), rounded up here.
 _MIN_BATCH = 20
+# The largest |ln U| and |Z| that a step can draw.  U = 1 - Uniform[0, 1)
+# is at least 2**-53, so |ln U| <= 53 ln 2.  numpy's ziggurat normal draws
+# its tail beyond r = 3.654... as r + x, accepting x only where
+# 2 (-ln U') > x^2 for another such U', so |Z| < r + sqrt(2 * 53 ln 2).
+_LN_U_MAX = 53.0 * math.log(2.0)
+_Z_MAX = 3.6541528853610088 + math.sqrt(2.0 * _LN_U_MAX)
 
 
 class SimulationDivergedError(RuntimeError):
@@ -105,7 +117,15 @@ class SimConfig:
 
     ``x0 = None`` selects the default start: the interval midpoint in
     two-sided mode, lower + 1 in one-sided mode.  ``burn_in`` initial steps are
-    simulated and discarded before recording starts.
+    simulated and discarded before recording starts.  ``seed`` is the
+    stream key of `simulate_path`'s path; a batch (`_simulate`) reads every
+    other field and takes its keys apart.
+
+    A sigma * sqrt(delta) or a start drift step |b(x0)| * delta is refused
+    when step 0's bridge-maximum radicand d * d - 2 sigma^2 delta ln U could
+    overflow for some draw (|Z| < _Z_MAX, |ln U| <= _LN_U_MAX): each alone
+    above about 9.0e152 and 1.3e154, and a NaN b(x0).  b(x0) is evaluated
+    once, without numpy warnings.
     """
 
     drift: DriftSpec
@@ -130,6 +150,18 @@ class SimConfig:
         if any(s < 0 for s in _entropy(self.seed)):
             raise ValueError("seed entries must be nonnegative: "
                              f"{self.seed!r}")
+        # step 0's bridge-maximum radicand d * d - c ln U at its largest over
+        # every draw, with d = b(x0) delta + sigma sqrt(delta) Z and c the
+        # 2 sigma^2 delta of _records; NaN fails the test too
+        with np.errstate(all="ignore"):
+            drift_step = abs(float(self.drift.fn(self.start))) * self.delta
+        noise = self.sigma * math.sqrt(self.delta)
+        d = drift_step + noise * _Z_MAX
+        c = 2.0 * self.sigma * self.sigma * self.delta
+        if not d * d + c * _LN_U_MAX < math.inf:
+            raise ValueError(f"step out of scale: sigma*sqrt(delta) = "
+                             f"{noise:g}, |b(x0)|*delta = {drift_step:g} can "
+                             "overflow step 0's bridge maximum")
 
     @property
     def start(self) -> float:
@@ -141,9 +173,9 @@ class SimConfig:
         return b.lower + 1.0
 
 
-def _records(cfg: SimConfig, rngs, total: int):
-    """The records of ``total`` steps of one path per generator in ``rngs``,
-    its draws in place: the one layout both kernels step.
+def _records(cfg: SimConfig, keys, total: int):
+    """The records of ``total`` steps of one path per stream key in
+    ``keys``, its draws in place: the one layout both kernels step.
 
     Returns (x, g, qh).  x and g are time-major (total + 1, R), so that one
     time index is one contiguous row, and qh is (total, R) two-sided, None
@@ -153,19 +185,21 @@ def _records(cfg: SimConfig, rngs, total: int):
     and its lower radicand terms, and qh[k - 1] its upper radicand terms.
     Row 0 holds the start and no increment.
 
-    `_draws` puts each path's Z and Uniform[0, 1) draws in its column; the
-    transforms then run once over the batch, in place on the contiguous
-    rows: the scaled normals sigma * (Z * sqrt(delta)) and the radicand
-    terms 2 sigma^2 delta ln U, with U = 1 - Uniform[0, 1) in (0, 1].  A
-    value's np.log does not depend on where it sits in the array, so a
-    column's bits do not depend on the batch's width (the tests pin it).
+    `_draws` puts the Z and Uniform[0, 1) draws of each key's stream in its
+    column, one stream at a time; the transforms then run once over the
+    batch, in place on the contiguous rows: the scaled normals
+    sigma * (Z * sqrt(delta)) and the radicand terms 2 sigma^2 delta ln U,
+    with U = 1 - Uniform[0, 1) in (0, 1].  A value's np.log does not depend
+    on where it sits in the array, so a column's bits do not depend on the
+    batch's width (the tests pin it).
     """
-    width = len(rngs)
+    width = len(keys)
     x = np.empty((total + 1, width))
     g = np.empty((total + 1, width))
     qh = np.empty((total, width)) if cfg.barrier.mode == "two_sided" else None
-    for j, rng in enumerate(rngs):
-        _draws(rng, x[1:, j], g[1:, j], None if qh is None else qh[:, j])
+    for j, key in enumerate(keys):
+        _draws(stream_rng(key), x[1:, j], g[1:, j],
+               None if qh is None else qh[:, j])
     s = x[1:]
     s *= math.sqrt(cfg.delta)
     s *= cfg.sigma
@@ -264,31 +298,32 @@ def _settle(nxt: float, lower: float, hi: float) -> float:
 def simulate_path(cfg: SimConfig) -> SamplePath:
     """Simulate n_steps reflected Euler steps after the burn-in.
 
-    Fully deterministic given cfg.seed.  The path is column 0 of
-    `_simulate`'s batch of one, which the scalar kernel `_steps` steps.  The
-    whole path's draws are taken per channel (normals, then lower uniforms,
-    then upper uniforms), not step by step.  The working set is the
-    records: states, signed increments and upper radicand terms while the
-    path steps, then states and both regulators, plus one block of at most
-    _BLOCK steps as Python floats.  A failing step raises the
+    Fully deterministic given cfg.seed.  The path is `_simulate(cfg,
+    [cfg.seed])`, a batch of one, which the scalar kernel `_steps` steps.
+    The whole path's draws are taken per channel (normals, then lower
+    uniforms, then upper uniforms), not step by step.  The working set is
+    the records: states, signed increments and upper radicand terms while
+    the path steps, then states and both regulators, plus one block of at
+    most _BLOCK steps as Python floats.  A failing step raises the
     SimulationDivergedError that the kernel filed, with its step index.
     """
-    x, l_reg, r_reg, errors = _simulate([cfg])
+    x, l_reg, r_reg, errors = _simulate(cfg, [cfg.seed])
     if errors:
         raise errors[0]
     return SamplePath(delta=cfg.delta, x=x[:, 0], l_reg=l_reg[:, 0],
                       r_reg=r_reg[:, 0], seed=cfg.seed, barrier=cfg.barrier)
 
 
-def _simulate(cfgs: list, kernel=None):
-    """Step the paths of a nonempty list of configs that differ only in
-    seed, all at once, and hand back the finished batch arrays.
+def _simulate(cfg: SimConfig, keys, kernel=None):
+    """Step one path of cfg per stream key in the nonempty list ``keys``,
+    all at once, and hand back the finished batch arrays.
 
+    Every field of cfg but its seed applies to every path, and each path
+    draws from the stream of its own key, one column of the records each.
     Returns (x, l_reg, r_reg, errors): the states and the two regulators,
-    (n_steps + 1, R) each with one column per config, and {column:
+    (n_steps + 1, R) each with one column per key, and {column:
     SimulationDivergedError} for the paths that failed, whose columns mean
-    nothing.  Each path draws from its own stream, one column of the
-    records each.  A batch of at least _MIN_BATCH paths steps with
+    nothing.  A batch of at least _MIN_BATCH paths steps with
     `_vector_steps`, one vector step per time index across the paths, and a
     narrower one with `_steps`, path by path: the kernels give the same
     bits, and a vector step's fixed cost of tens of microseconds pays only
@@ -299,13 +334,9 @@ def _simulate(cfgs: list, kernel=None):
     the two regulators, L from max(-g, 0) and R from max(g, 0) in place of
     g.
     """
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("batched configs may differ only in seed")
     if kernel is None:
-        kernel = _vector_steps if len(cfgs) >= _MIN_BATCH else _steps
-    x, g, qh = _records(cfg, [stream_rng(c.seed) for c in cfgs],
-                        cfg.burn_in + cfg.n_steps)
+        kernel = _vector_steps if len(keys) >= _MIN_BATCH else _steps
+    x, g, qh = _records(cfg, keys, cfg.burn_in + cfg.n_steps)
     errors = kernel(cfg, x, g, qh)
     del qh  # free the draws before the regulators
     keep = slice(cfg.burn_in, None)
@@ -422,8 +453,6 @@ def fine_config(cfg: SimConfig, refine: int) -> SimConfig:
     if refine < 1 or int(refine) != refine:
         raise ValueError("refine must be a positive integer")
     refine = int(refine)
-    if refine == 1:
-        return cfg
     return replace(cfg, n_steps=cfg.n_steps * refine, delta=cfg.delta / refine,
                    burn_in=cfg.burn_in * refine)
 

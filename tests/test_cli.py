@@ -135,6 +135,15 @@ def one_sided_csv(tmp_path_factory):
                  id="experiment-seed-negative"),
     pytest.param(_NORM + ["--seed", "-1", "--threads", "1"],
                  id="normality-seed-negative"),
+    # steps so large that step 0's bridge maximum would overflow
+    pytest.param(_SIM[:-1] + ["10", "--sigma", "1e200"],
+                 id="simulate-sigma-1e200"),
+    pytest.param(_SIM[:-1] + ["10", "--delta", "1e300"],
+                 id="simulate-delta-1e300"),
+    pytest.param(_SIM[:-1] + ["10", "--lower", "1e308", "--upper", "1.7e308"],
+                 id="simulate-start-1.35e308"),
+    pytest.param(_EXP + ["--threads", "1", "--sigma", "1e200"],
+                 id="experiment-sigma-1e200"),
 ])
 def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
                                           one_sided_csv, capsys):

@@ -27,7 +27,6 @@ from refsde.density import (
     _QUINTIC_DENOM,
     _TABLE_TOL,
     _doubled_table,
-    _fixed_simpson,
     _inner_blocks,
     _integral_from,
     _quintic,
@@ -243,6 +242,17 @@ def _case3_two_sided_g(x):
     return _direct_g(builtin_drift(3), SIGMA, x, 128)
 
 
+def _simpson(fn, a, b, n_panels):
+    """Composite Simpson of fn on [a, b] with its nodes and weights built
+    here, apart from the density module's cached rule."""
+    t = np.linspace(0.0, 1.0, 2 * n_panels + 1)
+    w = np.full(t.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w /= 6.0 * n_panels
+    return float(np.asarray(fn(a + (b - a) * t)) @ w) * (b - a)
+
+
 def _level_simpson(vals, width):
     # Simpson on [0, width] of the values at one doubling level's nodes
     _, w = _simpson_nodes_weights((vals.size - 1) // 2)
@@ -279,7 +289,7 @@ def test_converged_simpson_evaluates_each_node_once(fn, start):
     while levels[-1] < p_final:
         levels.append(2 * levels[-1])
     assert levels[-1] == p_final and len(levels) >= 2
-    fresh = [_fixed_simpson(fn, 0.0, 3.0, p) for p in levels]
+    fresh = [_simpson(fn, 0.0, 3.0, p) for p in levels]
     agree = [abs(c - p) <= _NORM_RTOL * abs(c)
              for p, c in zip(fresh, fresh[1:])]
     assert agree[-1] and not any(agree[:-1])
@@ -448,7 +458,7 @@ def test_f_eval_matches_the_pi_eval_rule(drift, sigma, barrier):
         return (_direct_g(drift, sigma, width * (s * s * (3.0 - 2.0 * s)))
                 * (6.0 * width * s * (1.0 - s)))
 
-    z = _fixed_simpson(graded, 0.0, 1.0, (dens.inner_table.size - 1) // 2)
+    z = _simpson(graded, 0.0, 1.0, (dens.inner_table.size - 1) // 2)
     assert dens.normalizer == z
     ys = np.linspace(0.0, hi if barrier.mode == "two_sided" else 4.0 * hi, 41)
     np.testing.assert_allclose(pi_eval(dens, ys),

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -99,8 +100,20 @@ def test_replication_seed_layout():
     assert replication_seed(7, 2, "two_sided", 400, 0.3, 5)[2] == 0
     # r = 0 is reserved and distinct from every replication slot
     assert replication_seed(7, 2, "two_sided", 400, 0.3, 0)[-1] == 0
-    with pytest.raises(KeyError):
-        replication_seed(7, 2, "mirrored", 400, 0.3, 1)
+
+
+@pytest.mark.parametrize("mode, beta, named", [
+    ("both", 0.3, "'both'"),
+    ("mirrored", 0.3, "'mirrored'"),
+    ("two_sided", math.inf, "inf"),
+    ("two_sided", -math.inf, "-inf"),
+    ("two_sided", math.nan, "nan"),
+    # finite, but beta * 1e6 overflows
+    ("one_sided_lower", 1e303, "1e+303"),
+])
+def test_replication_seed_names_a_bad_mode_or_beta(mode, beta, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        replication_seed(7, 2, mode, 400, beta, 1)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -354,12 +367,16 @@ def test_batches_cut_each_group_equally_under_the_budget():
                           n_replications=20)
     tasks = _table_tasks(plan)
     batches = experiment._batches(tasks)
-    assert sorted(i for b in batches for i in b) == list(range(len(tasks)))
+    assert sorted(i for _, b in batches for i in b) == list(range(len(tasks)))
     sizes = {}
-    for b in batches:
+    for cfg, b in batches:
         assert len({tasks[i][1:3] for i in b}) == 1  # one (mode, n) group
         assert b == sorted(b)
-        sizes.setdefault(tasks[b[0]][1:3], []).append(len(b))
+        # the group's config, under no replication's key
+        mode, n = tasks[b[0]][1:3]
+        assert cfg == experiment._path_config(plan, mode, n)
+        assert (cfg.barrier.mode, cfg.n_steps, cfg.seed) == (mode, n, 0)
+        sizes.setdefault((mode, n), []).append(len(b))
     # 60 paths of 400 or of 1600 steps fit in one batch
     assert sizes[("two_sided", 400)] == [60]
     assert sizes[("one_sided_lower", 1600)] == [60]
@@ -368,7 +385,7 @@ def test_batches_cut_each_group_equally_under_the_budget():
     # a group narrower than the kernel crossover is still one batch
     few = ExperimentPlan(case_id=1, n_list=(400,), beta_list=(0.3,),
                          n_replications=sim_module._MIN_BATCH - 1)
-    assert [len(b) for b in experiment._batches(_table_tasks(few))] == \
+    assert [len(b) for _, b in experiment._batches(_table_tasks(few))] == \
         [sim_module._MIN_BATCH - 1] * 2  # one batch per barrier mode
 
 
@@ -402,7 +419,7 @@ def test_batched_replications_equal_replications_alone(kind):
     kwargs, x0, kinds = _BATCH_CASES[kind]
     plan = ExperimentPlan(**kwargs)
     tasks = _table_tasks(plan)
-    assert max(map(len, experiment._batches(tasks))) == 26  # two betas
+    assert max(len(b) for _, b in experiment._batches(tasks)) == 26  # 2 betas
     with np.errstate(all="ignore"):
         alone = [_public_replication(plan, *t[1:], x0=x0) for t in tasks]
     assert {type(a) for a in alone} == kinds
@@ -440,11 +457,12 @@ def test_scored_batch_working_set(mode, bound):
                           n_replications=20)
     tasks = _table_tasks(plan)
     grid = estimation_grid(plan.lower, plan.upper, plan.grid_count)
-    experiment._batch_worker((experiment._cell_score, grid, tasks[:2]))
+    cfg = experiment._path_config(plan, mode, 1600)
+    experiment._batch_worker((experiment._cell_score, grid, cfg, tasks[:2]))
     tracemalloc.start()
     try:
         results = experiment._batch_worker((experiment._cell_score, grid,
-                                            tasks))
+                                            cfg, tasks))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

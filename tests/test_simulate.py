@@ -1,7 +1,9 @@
 """Tests for the reflected Euler scheme and path serialization."""
 
 import math
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -52,9 +54,9 @@ def test_sample_sup_matches_brute_force_distribution():
     base = SimConfig(drift=_const_drift(mu), sigma=sigma,
                      barrier=BarrierConfig.two_sided(0.0, 10.0), n_steps=1,
                      delta=delta, x0=10.0)
-    cfgs = [replace(base, seed=(20260813, r)) for r in range(20_000)]
+    keys = [(20260813, r) for r in range(20_000)]
     for kernel in (sim_module._steps, sim_module._vector_steps):
-        _, l_reg, r_reg, errors = sim_module._simulate(cfgs, kernel)
+        _, l_reg, r_reg, errors = sim_module._simulate(base, keys, kernel)
         assert errors == {} and not l_reg[1].any()
         stat = ks_2samp(run_max, r_reg[1]).statistic
         assert stat < 0.02
@@ -184,6 +186,47 @@ def test_simulate_fine_sigma_zero_agrees_on_shared_times():
 def test_simulate_fine_rejects_bad_refine(refine):
     with pytest.raises(ValueError):
         simulate_fine(_cfg(), refine)
+
+
+_SCALE_BASE = dict(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
+                   n_steps=10, delta=0.01)
+
+
+@pytest.mark.parametrize("kw", [
+    pytest.param(dict(sigma=1e200), id="sigma-1e200"),
+    pytest.param(dict(delta=1e300), id="delta-1e300"),
+    # sigma sqrt(delta) is 1e50, but 2 sigma^2 delta overflows at 2 sigma^2
+    pytest.param(dict(sigma=1e200, delta=1e-300), id="sigma-squared"),
+    # case 1's sin(2 pi x) is NaN at the midpoint 1.35e308
+    pytest.param(dict(barrier=BarrierConfig.two_sided(1e308, 1.7e308)),
+                 id="start-1.35e308"),
+    pytest.param(dict(drift=_const_drift(math.nan)), id="drift-nan"),
+    pytest.param(dict(drift=_const_drift(2e154), delta=1.0), id="drift-step"),
+])
+def test_config_refuses_a_step_out_of_scale(kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step out of scale"):
+            SimConfig(**dict(_SCALE_BASE, **kw))
+
+
+def test_step_inside_the_scale_bound_stays_finite():
+    # sigma sqrt(delta) at 0.99 of its bound, the drift at zero: step 0 of
+    # every path stays finite, through the upward steps and the reflections
+    # off the lower barrier alike
+    z, ln_u = sim_module._Z_MAX, sim_module._LN_U_MAX
+    bound = math.sqrt(sys.float_info.max / (z * z + 2.0 * ln_u))
+    cfg = SimConfig(drift=_const_drift(0.0), sigma=0.99 * bound,
+                    barrier=BarrierConfig.one_sided(0.0), n_steps=1,
+                    delta=1.0)
+    for kernel in _KERNELS:
+        x, l_reg, _, errors = sim_module._simulate(cfg, list(range(2000)),
+                                                   kernel)
+        assert errors == {}
+        assert np.isfinite(x).all() and np.isfinite(l_reg).all()
+        assert x[1].max() > 1e152 and l_reg[1].max() > 1e152
+    with pytest.raises(ValueError, match="step out of scale"):
+        replace(cfg, sigma=1.01 * bound)
 
 
 def test_divergence_reports_step_index():
@@ -336,7 +379,7 @@ def test_radicand_terms_are_within_an_ulp_of_math_log():
     cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=TWO_SIDED,
                     n_steps=total, delta=0.5)
     seeds = (5, (2, 9))
-    x, g, qh = sim_module._records(cfg, [stream_rng(s) for s in seeds], total)
+    x, g, qh = sim_module._records(cfg, seeds, total)
     for j, seed in enumerate(seeds):
         rng = stream_rng(seed)
         z = rng.standard_normal(total)
@@ -400,21 +443,21 @@ def test_simulate_path_working_set_is_linear():
     assert peak < 7 * n * 8, f"peak {peak / (n * 8):.1f} floats per step"
 
 
-# --- batches: many same-config paths, through either kernel ----------------
+# --- batches: one config's paths under many keys, through either kernel ---
 
 # _simulate picks one kernel by the batch's width; the batch tests run each
 # width through both, so that neither goes untested at any width
 _KERNELS = (sim_module._steps, sim_module._vector_steps)
 
 
-def _batch(cfgs, kernel):
-    """Each config's column of _simulate(cfgs), stepped by the given
+def _batch(cfg, keys, kernel):
+    """Each key's column of _simulate(cfg, keys), stepped by the given
     kernel, as a namespace of x, l_reg and r_reg, or the error that the
     kernel filed for it."""
-    x, l_reg, r_reg, errors = sim_module._simulate(cfgs, kernel)
+    x, l_reg, r_reg, errors = sim_module._simulate(cfg, keys, kernel)
     return [errors[j] if j in errors else
             SimpleNamespace(x=x[:, j], l_reg=l_reg[:, j], r_reg=r_reg[:, j])
-            for j in range(len(cfgs))]
+            for j in range(len(keys))]
 
 
 @pytest.mark.parametrize("width, kernel", [
@@ -431,8 +474,7 @@ def test_simulate_paths_picks_its_kernel_by_width(monkeypatch, width, kernel):
         monkeypatch.setattr(sim_module, name, spy)
     base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
                      n_steps=20, delta=0.01)
-    x, _, _, errors = sim_module._simulate([replace(base, seed=s)
-                                            for s in range(width)])
+    x, _, _, errors = sim_module._simulate(base, list(range(width)))
     assert used == [kernel]
     assert x.shape == (21, width) and errors == {}
 
@@ -441,20 +483,19 @@ def test_step_at_most_one_regulator_fires():
     # both kernels: no step moves both regulators, and each fires somewhere
     base = _cfg(sigma=0.4, delta=0.01, drift=builtin_drift(1), x0=0.05,
                 n_steps=2000)
-    cfgs = [replace(base, seed=s) for s in range(20)]
     for kernel in _KERNELS:
-        paths = _batch(cfgs, kernel)
+        paths = _batch(base, list(range(20)), kernel)
         dl = np.array([np.diff(p.l_reg) for p in paths])
         dr = np.array([np.diff(p.r_reg) for p in paths])
         assert not np.any((dl > 0.0) & (dr > 0.0))
         assert np.any(dl > 0.0) and np.any(dr > 0.0)
 
 
-def _assert_batch_matches_oracle(cfgs):
+def _assert_batch_matches_oracle(cfg, keys):
     for kernel in _KERNELS:
-        paths = _batch(cfgs, kernel)
-        for cfg, p in zip(cfgs, paths, strict=True):
-            x, l_reg, r_reg = _oracle_path(cfg)
+        paths = _batch(cfg, keys, kernel)
+        for key, p in zip(keys, paths, strict=True):
+            x, l_reg, r_reg = _oracle_path(replace(cfg, seed=key))
             assert np.array_equal(p.x, x)
             assert np.array_equal(p.l_reg, l_reg)
             assert np.array_equal(p.r_reg, r_reg)
@@ -470,7 +511,7 @@ def test_simulate_paths_is_bitwise_the_oracle(case, mode, burn_in):
     base = SimConfig(drift=builtin_drift(case), sigma=0.2,
                      barrier=_BARRIERS[mode], n_steps=400, delta=0.01,
                      burn_in=burn_in)
-    _assert_batch_matches_oracle([replace(base, seed=s) for s in _BATCH_SEEDS])
+    _assert_batch_matches_oracle(base, _BATCH_SEEDS)
 
 
 @pytest.mark.parametrize("drift, mode", [(-5.0, "one_sided"), (-5.0, "two_sided"),
@@ -479,22 +520,22 @@ def test_pinned_batch_is_bitwise_the_oracle(drift, mode):
     # reflection on nearly every step, as in test_pinned_path_is_bitwise_the_oracle
     base = SimConfig(drift=_const_drift(drift), sigma=0.2,
                      barrier=_BARRIERS[mode], n_steps=20_000, delta=0.01)
-    _assert_batch_matches_oracle([replace(base, seed=s) for s in (3, 4, 5)])
+    _assert_batch_matches_oracle(base, (3, 4, 5))
 
 
-def _assert_batch_matches_alone(cfgs):
+def _assert_batch_matches_alone(cfg, keys):
     """Each member of the batch, through either kernel, is simulate_path's
-    path, or its error; returns the failed members' errors."""
+    path under its key, or its error; returns the failed members' errors."""
     alone = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for cfg in cfgs:
+        for key in keys:
             try:
-                alone.append(simulate_path(cfg))
+                alone.append(simulate_path(replace(cfg, seed=key)))
             except SimulationDivergedError as e:
                 alone.append(e)
     for kernel in _KERNELS:
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = _batch(cfgs, kernel)
+            batch = _batch(cfg, keys, kernel)
         for want, got in zip(alone, batch, strict=True):
             assert (isinstance(got, SimulationDivergedError)
                     == isinstance(want, SimulationDivergedError))
@@ -520,8 +561,7 @@ def _explodes_above(level):
 def test_failing_batch_members_fail_as_alone(mode):
     base = SimConfig(drift=_explodes_above(1.2), sigma=0.2,
                      barrier=_BARRIERS[mode], n_steps=300, delta=0.01, x0=1.0)
-    errors = _assert_batch_matches_alone([replace(base, seed=s)
-                                          for s in range(12)])
+    errors = _assert_batch_matches_alone(base, list(range(12)))
     # members fail at different steps, and the others step on past them
     assert len({e.step_index for e in errors}) >= 3
     assert len(errors) <= 9
@@ -534,17 +574,9 @@ def test_narrow_domain_batch_matches_paths_alone():
     base = SimConfig(drift=builtin_drift(1), sigma=1.0,
                      barrier=BarrierConfig.two_sided(0.0, 0.32),
                      n_steps=2000, delta=0.01)
-    errors = _assert_batch_matches_alone([replace(base, seed=s)
-                                          for s in range(8)])
+    errors = _assert_batch_matches_alone(base, list(range(8)))
     assert 1 <= len(errors) <= 7
     assert all("shot the" in str(e) for e in errors)
-
-
-def test_simulate_paths_rejects_mixed_configs():
-    base = _cfg()
-    with pytest.raises(ValueError, match="only in seed"):
-        sim_module._simulate([base, replace(base, seed=1,
-                                            n_steps=base.n_steps + 1)])
 
 
 def test_batch_at_the_budget_peaks_within_its_arrays():
@@ -559,11 +591,11 @@ def test_batch_at_the_budget_peaks_within_its_arrays():
     width = experiment._BATCH_STEPS // n
     base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
                      n_steps=n, delta=0.01)
-    cfgs = [replace(base, seed=(2, r)) for r in range(width)]
-    sim_module._simulate(cfgs[:2])  # leave first-call imports out
+    keys = [(2, r) for r in range(width)]
+    sim_module._simulate(base, keys[:2])  # leave first-call imports out
     tracemalloc.start()
     try:
-        x = sim_module._simulate(cfgs)[0]
+        x = sim_module._simulate(base, keys)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
