@@ -15,12 +15,22 @@ flags, the mode names, `estimate`'s type names, `--threads >= 1`).
 Every other value is checked once, by the library object or function that
 uses it; the runners build these before the simulation or quadrature starts,
 and `main` reports their ValueError as a usage error too.
+
+BLAS runs serially: before numpy loads, this module sets
+OPENBLAS_NUM_THREADS=1 for its process and the pool workers it forks,
+overriding the caller's value.  `--threads` is the only parallelism, and the
+quadrature's gemv sums do not depend on the host's CPU count.  `refsde`
+loads its submodules lazily, so every route into the CLI reaches this line
+first; a library caller keeps their own BLAS setting.
 """
 from __future__ import annotations
 
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads; see above
+
 import argparse
 import gc
-import os
 import sys
 import time
 from dataclasses import dataclass

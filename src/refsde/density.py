@@ -133,7 +133,9 @@ def _integral_from(fn, lower: float, x, n_panels: int):
     targets because OpenBLAS's gemv sums four rows at a time and a row left
     over at a block's end takes a kernel with another summation order; so
     every full block's rows take the kernel they take in one product over
-    all targets, and the values do not depend on the block size.
+    all targets, and the values do not depend on the block size.  A
+    threaded gemv splits the sums by thread, so the CLI runs these gemv
+    calls serially (see refsde.cli).
 
     A block's nodes lower + width_i * offset_k are built flat: each width
     repeated 2P + 1 times, times the offsets tiled over a full block, plus

@@ -445,11 +445,13 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stderr.splitlines()[-1] == "[] 0"
 
 
-def _fresh(code):
-    """Run python -c code with the checkout's src on the path."""
+def _fresh(code, **env):
+    """Run python -c code with the checkout's src on the path, and env's
+    variables set."""
     src = str(Path(refsde.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
+                          text=True,
+                          env={**os.environ, **env, "PYTHONPATH": src})
 
 
 def test_process_pool_is_imported_only_where_one_is_built(tmp_path):
@@ -534,6 +536,82 @@ def test_module_entrypoint(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "refsde simulate:" in proc.stderr
+
+
+def test_blas_threads_do_not_move_density_bytes(tmp_path):
+    # at 8192 panels one target fills a block, and a threaded gemv splits
+    # its sum by thread: the CLI runs BLAS serially whatever the caller set
+    src = str(Path(refsde.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"d{threads}.csv")
+        proc = subprocess.run(
+            [sys.executable, "-m", "refsde", "density", "--case", "3",
+             "--mode", "two-sided", "--grid", "1", "--quad-panels", "8192",
+             "--out", str(outs[-1])],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src,
+                 "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_package_import_leaves_numpy_unloaded():
+    proc = _fresh("import sys, refsde; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_cli_import_pins_blas_threads():
+    proc = _fresh("import os, refsde.cli; "
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                  OPENBLAS_NUM_THREADS="4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+_EXPORTS = {
+    "density": ["InvariantDensity", "ModelNotErgodicError",
+                "UndefinedVarianceError", "f_eval", "invariant_density",
+                "pi_eval", "sigma_eval"],
+    "estimate": ["EstimateResult", "bandwidth", "delta_of_n",
+                 "nw_continuous", "nw_discrete", "write_estimate_csv"],
+    "experiment": ["CellFailure", "ExperimentPlan", "McSummary",
+                   "NoDataError", "NormalityReport", "ReplicationError",
+                   "estimation_grid", "normality_check", "rase",
+                   "replication_seed", "run_cell", "run_table",
+                   "write_normality_csv", "write_summary_csv"],
+    "model": ["BarrierConfig", "DriftSpec", "KernelSpec", "SamplePath",
+              "builtin_drift", "epanechnikov"],
+    "simulate": ["SimConfig", "SimulationDivergedError", "read_path_csv",
+                 "simulate_fine", "simulate_path", "write_path_csv"],
+}
+
+
+def test_package_names_resolve_to_their_modules():
+    proc = _fresh(
+        "import importlib, refsde; "
+        f"exports = {_EXPORTS!r}; "
+        "print(sorted(refsde.__all__)); "
+        "print(all(getattr(refsde, name) is getattr(importlib.import_module("
+        "'refsde.' + mod), name) for mod, names in exports.items() "
+        "for name in names)); "
+        "print(set(refsde.__all__) <= set(dir(refsde)))")
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(name for names in _EXPORTS.values() for name in names)
+    assert len(names) == 39
+    assert proc.stdout.splitlines() == [repr(names), "True", "True"]
+
+
+def test_package_keeps_version_and_refuses_unknown_names():
+    proc = _fresh(
+        "import refsde; print(refsde.__version__); "
+        "from refsde import cli, experiment; print(cli.__name__, "
+        "experiment.__name__); refsde.no_such_name")
+    assert proc.returncode == 1
+    assert proc.stdout == "0.1.0\nrefsde.cli refsde.experiment\n"
+    assert proc.stderr.endswith(
+        "AttributeError: module 'refsde' has no attribute 'no_such_name'\n")
 
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -1,7 +1,6 @@
 """Tests for the model layer: drifts, barriers, paths, kernels, schedules."""
 
 import importlib
-import inspect
 import math
 import pkgutil
 
@@ -296,15 +295,9 @@ def _modules():
                          ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     # a name left in __all__ after its object is gone breaks `import *`.
-    # The package has no __all__: its names are its imports, each one a
-    # name that a module exports.
-    names = getattr(module, "__all__", None)
-    if names is None:
-        names = [name for name, value in vars(module).items()
-                 if not name.startswith("_") and not inspect.ismodule(value)]
-        exported = set().union(*(m.__all__ for m in _modules()
-                                 if m is not module))
-        assert set(names) <= exported
+    # The package's names load lazily from the modules that define them
+    # (test_cli.py::test_package_names_resolve_to_their_modules).
+    names = module.__all__
     assert [name for name in names if not hasattr(module, name)] == []
     namespace = {}
     exec(f"from {module.__name__} import *", namespace)
