@@ -11,34 +11,36 @@ command line's flags, so the command line wins and argparse converts and
 checks both alike.  Unknown config keys are usage errors.  Exit codes: 0
 success, 1 runtime failure (partially written outputs are removed), 2 usage
 error.  `parse` checks only the command shape (flags, keys, types, required
-flags, the mode names, `estimate`'s type names, `--threads >= 1`).
+flags, the mode names, `--threads >= 1`).
 Every other value is checked once, by the library object or function that
 uses it; the runners build these before the simulation or quadrature starts,
 and `main` reports their ValueError as a usage error too.
 
-BLAS runs serially: before numpy loads, this module sets
+BLAS runs serially: if numpy has not loaded yet, this module sets
 OPENBLAS_NUM_THREADS=1 for its process and the pool workers it forks,
 overriding the caller's value.  `--threads` is the only parallelism, and the
 quadrature's gemv sums do not depend on the host's CPU count.  `refsde`
 loads its submodules lazily, so every route into the CLI reaches this line
-first; a library caller keeps their own BLAS setting.
+first.  Once numpy has loaded, the variable no longer changes this
+process's BLAS, so the module leaves it as it is: a library caller, and
+every process it starts later, keeps their own BLAS setting.
 """
 from __future__ import annotations
 
 import os
+import sys
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads; see above
+if "numpy" not in sys.modules:  # before numpy loads; see above
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import gc
-import sys
 import time
 from dataclasses import dataclass
 
 from .density import (UndefinedVarianceError, f_eval, invariant_density,
                       pi_eval, sigma_eval)
-from .estimate import (delta_of_n, nw_continuous, nw_discrete,
-                       write_estimate_csv)
+from .estimate import delta_of_n, nw_discrete, write_estimate_csv
 from .experiment import (ExperimentPlan, estimation_grid, normality_check,
                          run_table, write_normality_csv, write_summary_csv)
 from .model import BarrierConfig, builtin_drift, epanechnikov
@@ -125,8 +127,7 @@ _SPECS: dict[str, dict] = {
                  "out": _REQUIRED},
     "density": {"case": _REQUIRED, **_MODEL, "grid": 300, "h": 0.1,
                 "quad_panels": 1024, "seed": 0, "out": _REQUIRED},
-    "estimate": {"in_path": _REQUIRED, **_DOMAIN, "h": 0.1,
-                 "type": ("discrete", "continuous"), "grid_min": None,
+    "estimate": {"in_path": _REQUIRED, **_DOMAIN, "h": 0.1, "grid_min": None,
                  "grid_max": None, "grid_count": 300, "out": _REQUIRED},
     "experiment": {"case": _REQUIRED, **_MODEL,
                    "mode": ("both",) + _TWO_MODES, "n_list": "400,900,1600",
@@ -276,9 +277,7 @@ def _run_estimate(params: dict):
     grid = estimation_grid(lo, hi, params["grid_count"])
     kern = epanechnikov(params["h"])
     path = read_path_csv(params["in_path"], barrier=barrier)
-    estimator = nw_continuous if params["type"] == "continuous" \
-        else nw_discrete
-    result = estimator(path, kern, grid)
+    result = nw_discrete(path, kern, grid)
     _write_guard(params["out"],
                  lambda p: write_estimate_csv(result, p, path.seed))
     return 1, format_seed(path.seed)

@@ -33,8 +33,9 @@ __all__ = [
 class EstimateResult:
     """Per-grid-point estimates plus diagnostics.
 
-    values hold NaN exactly where undefined_mask is set (empty kernel window).
-    denominators carry the occupation diagnostic F(x) = mean of K_h(X - x)
+    values hold NaN where a grid point's kernel window is empty, and
+    undefined_mask, derived from values, flags those points.  denominators
+    carry the occupation diagnostic F(x) = mean of K_h(X - x)
     over observations, identical between the two estimator types on shared
     grids.  Both are sums over the observations in the window [x - h, x + h]
     only, exact because the kernel vanishes outside [-1, 1]; computing them
@@ -45,22 +46,23 @@ class EstimateResult:
     grid: np.ndarray
     values: np.ndarray
     denominators: np.ndarray
-    undefined_mask: np.ndarray
     boundary_mask: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("grid", "values", "denominators", "undefined_mask",
-                     "boundary_mask"):
+        for name in ("grid", "values", "denominators", "boundary_mask"):
             getattr(self, name).setflags(write=False)
-        _check_estimate(self.values, self.undefined_mask, self.denominators)
+        _check_estimate(self.denominators)
+
+    @property
+    def undefined_mask(self) -> np.ndarray:
+        """The grid points where the estimate is not a finite number."""
+        return ~np.isfinite(self.values)
 
 
-def _check_estimate(values, undefined, denominators) -> None:
-    """The checks of an estimate's values, undefined mask and denominators:
-    EstimateResult's, and the replication harness's on each column of a
-    batch, whose estimates it never wraps in an EstimateResult."""
-    if np.any(np.isfinite(values) == undefined):
-        raise ValueError("values must be finite exactly off the undefined mask")
+def _check_estimate(denominators) -> None:
+    """The check of an estimate's denominators: EstimateResult's, and the
+    replication harness's on each column of a batch, whose estimates it
+    never wraps in an EstimateResult."""
     if np.any(denominators < 0.0):
         raise ValueError("denominators must be nonnegative")
 
@@ -215,7 +217,6 @@ def nw_discrete(path: SamplePath, k: KernelSpec, grid) -> EstimateResult:
     values, f_hat = _nw_records(x, np.diff(path.l_reg), np.diff(path.r_reg),
                                 path.barrier, path.delta, k, grid)
     return EstimateResult(grid=grid, values=values, denominators=f_hat,
-                          undefined_mask=~np.isfinite(values),
                           boundary_mask=_boundary_mask(path, grid,
                                                        k.bandwidth))
 

@@ -28,7 +28,8 @@ from .estimate import (EstimateResult, _check_estimate, _check_inputs,
                        _check_rates, _nw_records, bandwidth, delta_of_n)
 from .model import (BarrierConfig, DriftSpec, _check_path, builtin_drift,
                     epanechnikov)
-from .simulate import SimConfig, _simulate, fine_config, write_csv
+from .simulate import (_RECORD_BUDGET, SimConfig, _simulate, fine_config,
+                       write_csv)
 # unused here; bench/traced.py wraps these four names on this module
 from .estimate import nw_continuous, nw_discrete  # noqa: F401
 from .simulate import simulate_fine, simulate_path  # noqa: F401
@@ -248,26 +249,19 @@ def _check_cell(plan: ExperimentPlan, mode: str, n: int, beta: float) -> None:
 
 # A replication task is (plan, mode, n, beta, r).  _batch_worker estimates
 # each task's path on the grid of its _map_replications call; these two
-# hooks turn one task's estimate values there, and the truth there, into
-# the replication's result.
+# hooks turn the estimate values there, and the truth there, into the
+# replication's result.
 
-def _cell_score(task, values, truth):
+def _cell_score(values, truth):
     """(rase, excluded grid points) of one cell replication."""
     defined = np.isfinite(values)
     return (_rase(values, defined, truth),
             int(values.size - np.count_nonzero(defined)))
 
 
-def _point_score(task, values, truth):
+def _point_score(values, truth):
     """The estimate at x0 of one normality replication (NaN if undefined)."""
     return float(values[0])
-
-
-# Path-steps in one batch of replications stepped together.  It bounds the
-# batch's draws and records, at most three floats per path-step (3.1 MB),
-# and lets the 60 replications of one (mode, n = 1600) group, three betas
-# at 20 each, step as one batch.
-_BATCH_STEPS = 2**17
 
 
 def _batches(tasks) -> list:
@@ -276,8 +270,9 @@ def _batches(tasks) -> list:
 
     Tasks of the same plan, mode and n form a group, taken in task order,
     whose paths all have the group's `_path_config`.  A group is cut into
-    the fewest equal batches that each hold at most _BATCH_STEPS
-    path-steps; `_simulate` picks the kernel that steps a batch.
+    the fewest equal batches that each hold at most the simulator's
+    `_RECORD_BUDGET` path-steps, which also lets a group of long paths
+    reach the width at which `_simulate` steps it with the vector kernel.
     """
     groups: dict = {}
     for i, task in enumerate(tasks):
@@ -285,7 +280,7 @@ def _batches(tasks) -> list:
     batches = []
     for (plan, mode, n), members in groups.items():
         cfg = _path_config(plan, mode, n)
-        per = max(1, _BATCH_STEPS // (cfg.burn_in + cfg.n_steps))
+        per = max(1, _RECORD_BUDGET // (cfg.burn_in + cfg.n_steps))
         count = -(-len(members) // per)
         batches.extend((cfg, members[b * len(members) // count:
                                      (b + 1) * len(members) // count])
@@ -302,7 +297,7 @@ def _batch_worker(job):
     Once per batch: the grid's checks, the truth on the grid and one kernel
     per beta.  Per column: the regulator increments, SamplePath's checks on
     them (`_check_path`), the one NW route (`_nw_records`), EstimateResult's
-    checks (`_check_estimate`), and score(task, values, truth).  Returns one
+    check (`_check_estimate`), and score(values, truth).  Returns one
     result per task, or the exception that task raised: the same as
     estimating the task's path from simulate_path (or simulate_fine) with
     nw_discrete (or nw_continuous) and scoring that.
@@ -323,20 +318,20 @@ def _batch_worker(job):
     except Exception as exc:
         return [errors.get(j, exc) for j in range(len(tasks))]
     return [errors[j] if j in errors else
-            _run_task(_score_column, score, task, kernels[task[3]], cfg, grid,
-                      truth, x[:, j], l_reg[:, j], r_reg[:, j])
+            _run_task(_score_column, score, kernels[task[3]], cfg, grid, truth,
+                      x[:, j], l_reg[:, j], r_reg[:, j])
             for j, task in enumerate(tasks)]
 
 
-def _score_column(score, task, k, cfg, grid, truth, x, l_reg, r_reg):
+def _score_column(score, k, cfg, grid, truth, x, l_reg, r_reg):
     """score of one task's estimate from its column of the batch arrays."""
     # one copy of the strided column, read by every pass below
     x = np.ascontiguousarray(x)
     dl, dr = np.diff(l_reg), np.diff(r_reg)
     _check_path(x, dl, dr, cfg.barrier)
     values, f_hat = _nw_records(x, dl, dr, cfg.barrier, cfg.delta, k, grid)
-    _check_estimate(values, ~np.isfinite(values), f_hat)
-    return score(task, values, truth)
+    _check_estimate(f_hat)
+    return score(values, truth)
 
 
 def _run_task(fn, *args):
@@ -360,20 +355,21 @@ def _process_pool(workers):
 
 def _map_replications(score, tasks, grid, threads):
     """Results of the replication tasks, in task order, each computed by
-    score(task, values, truth) from the estimate values of the task's
-    simulated path on ``grid`` and the truth there (see _batch_worker).
+    score(values, truth) from the estimate values of the task's simulated
+    path on ``grid`` and the truth there (see _batch_worker).
 
     The unit of work is a batch (see _batches): one path config and the
     stream keys of its tasks, stepped together by one `_simulate` call.
     Batches go largest first to the workers, serially or in one pool, one
-    batch at a time: a batch already holds up to _BATCH_STEPS path-steps,
-    and chunks of several batches only leave one worker a longer tail
-    (criterion 5's continuous half, 63 batches on 2 workers, took 6.4 s in
-    chunks of seven against 6.0 s one at a time; medians of five runs on a
-    2-vCPU VM).  A job holds only picklable values (the path config, plans,
-    numbers, strings), each task names its own stream key, and a column's
-    estimate reads only its own column, so neither the batching nor the
-    partition into workers can change any result.  A task that raises does
+    batch at a time: a batch already holds up to `_RECORD_BUDGET`
+    path-steps, and chunks of several batches only leave one worker a
+    longer tail (criterion 5's continuous half, 63 batches of 2**17
+    path-steps on 2 workers, took 6.4 s in chunks of seven against 6.0 s
+    one at a time; medians of five runs on a 2-vCPU VM).  A job holds only
+    picklable values (the path config, plans, numbers, strings), each task
+    names its own stream key, and a column's estimate reads only its own
+    column, so neither the batching nor the partition into workers can
+    change any result.  A task that raises does
     not stop the others: its slot holds the exception in place of a result
     (see _checked).  One call builds at most one pool, so a command sends
     all its replications through one call; a worker process that dies

@@ -76,6 +76,20 @@ _BLOCK = 2**14
 # barrier modes: the break-even widths were 14-18 (medians of five runs
 # each), rounded up here.
 _MIN_BATCH = 20
+# The most path-steps one batch of replications holds, so at most three
+# floats of records per path-step (24 MB at 2**20).  The rule: a group of
+# the longest paths the harness steps by default, the fine paths of the
+# continuous estimator at n = 1600 and refine 10 (16 000 steps each), must
+# fit at least _MIN_BATCH wide, so that the vector kernel steps it: 2**19
+# path-steps or more.  2**20 holds 65 such paths, and the 60 paths of each
+# (mode, n) group of a 20-replication table (at most 96 000 path-steps
+# each) stay one batch.  Measured on a 2-vCPU VM (two runs each, identical
+# bytes): `normality --case 2 --x0 1.5 --n 1600 --beta 0.3 --reps 500
+# --type continuous --threads 2` took 3.9-4.3 s wall and 40 MB peak RSS at
+# 2**17 (batches of 8, scalar kernel), 2.8 s and 46 MB at 2**19, and 2.0 s
+# and 57 MB at 2**20; `experiment --case 1 --mode both --threads 2` took
+# 5.2-5.4 s and 39 MB at 2**17 against 4.1-4.8 s and 58 MB at 2**20.
+_RECORD_BUDGET = 2**20
 # The largest |ln U| and |Z| that a step can draw.  U = 1 - Uniform[0, 1)
 # is at least 2**-53, so |ln U| <= 53 ln 2.  numpy's ziggurat normal draws
 # its tail beyond r = 3.654... as r + x, accepting x only where

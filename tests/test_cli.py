@@ -91,7 +91,7 @@ def one_sided_csv(tmp_path_factory):
     pytest.param(_DENS + ["--h", "-1"], id="density-h"),
     pytest.param(_DENS + ["--sigma", "0"], id="density-sigma"),
     pytest.param(_EST + ["--kernel", "gauss"], id="estimate-kernel"),
-    pytest.param(_EST + ["--type", "x"], id="estimate-type"),
+    pytest.param(_EST + ["--type", "continuous"], id="estimate-type"),
     pytest.param(_EST[:-1] + ["0"], id="estimate-grid-count"),
     pytest.param(_EST + ["--sigma", "-1"], id="estimate-sigma"),
     pytest.param(_EST + ["--grid-min", "2", "--grid-max", "1"],
@@ -278,8 +278,8 @@ _THREADS = os.cpu_count() or 1
       "out": "d.csv"}, "d.csv", 0),
     (["estimate", "--in", "p.csv", "--out", "e.csv"], None,
      {"in_path": "p.csv", "mode": "two_sided", "lower": 0.0, "upper": 3.0,
-      "h": 0.1, "type": "discrete", "grid_min": None, "grid_max": None,
-      "grid_count": 300, "out": "e.csv"},
+      "h": 0.1, "grid_min": None, "grid_max": None, "grid_count": 300,
+      "out": "e.csv"},
      "e.csv", None),
     (["experiment", "--case", "1", "--out", "t.csv"], None,
      {"case": 1, "mode": "both", "sigma": 0.2, "n_list": (400, 900, 1600),
@@ -304,7 +304,7 @@ _THREADS = os.cpu_count() or 1
     (["estimate", "--config", "{cfg}", "--h", "0.2", "--out", "e.csv"],
      "in = p.csv\nmode = one-sided\ngrid-min = 0.5\nh = 0.3\n",
      {"in_path": "p.csv", "mode": "one_sided_lower", "lower": 0.0,
-      "upper": 3.0, "h": 0.2, "type": "discrete", "grid_min": 0.5,
+      "upper": 3.0, "h": 0.2, "grid_min": 0.5,
       "grid_max": None, "grid_count": 300, "out": "e.csv"},
      "e.csv", None),
 ])
@@ -395,17 +395,19 @@ def test_runtime_error_exits_one_without_partial_file(tmp_path, capsys):
 
 
 _REAL_CELL_SCORE = experiment._cell_score
+_TEST_PID = os.getpid()
 
 
-def _cell_score_dying_once(task, values, truth):
+def _cell_score_dying_in_workers(values, truth):
     # module level, so that pool processes can unpickle it
-    if task[2] == 60 and task[-1] == 2:
+    if os.getpid() != _TEST_PID:
         os._exit(1)
-    return _REAL_CELL_SCORE(task, values, truth)
+    return _REAL_CELL_SCORE(values, truth)
 
 
 def test_dead_worker_process_fails_the_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(experiment, "_cell_score", _cell_score_dying_once)
+    monkeypatch.setattr(experiment, "_cell_score",
+                        _cell_score_dying_in_workers)
     out = tmp_path / "table.csv"
     assert main(["experiment", "--case", "2", "--mode", "two-sided",
                  "--n-list", "40,60", "--beta-list", "0.3", "--reps", "3",
@@ -447,11 +449,12 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def _fresh(code, **env):
     """Run python -c code with the checkout's src on the path, and env's
-    variables set."""
+    variables set, or unset where they are None."""
     src = str(Path(refsde.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True,
-                          env={**os.environ, **env, "PYTHONPATH": src})
+                          env={k: v for k, v in env.items() if v is not None})
 
 
 def test_process_pool_is_imported_only_where_one_is_built(tmp_path):
@@ -568,6 +571,19 @@ def test_cli_import_pins_blas_threads():
                   OPENBLAS_NUM_THREADS="4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+@pytest.mark.parametrize("value", ["4", None])
+def test_cli_import_after_numpy_leaves_blas_threads(value):
+    # numpy's BLAS has its threads by then, so the CLI leaves the variable,
+    # and what later child processes inherit, as the caller set it
+    proc = _fresh("import subprocess, sys, numpy, refsde.cli; "
+                  "print(subprocess.run([sys.executable, '-c', 'import os; "
+                  "print(os.environ.get(\"OPENBLAS_NUM_THREADS\"))'], "
+                  "capture_output=True, text=True).stdout, end='')",
+                  OPENBLAS_NUM_THREADS=value)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{value}\n"
 
 
 _EXPORTS = {

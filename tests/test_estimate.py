@@ -305,13 +305,14 @@ def test_refinement_differences_shrink_stochastic():
 
 
 def test_estimate_result_checks_mask_consistency():
-    g = np.array([1.0])
+    # the undefined mask is derived from the values, so it cannot disagree
+    g = np.array([1.0, 2.0])
+    est = EstimateResult(g, np.array([np.nan, 0.5]), np.array([0.0, 0.1]),
+                         np.array([False, False]))
+    assert est.undefined_mask.tolist() == [True, False]
     with pytest.raises(ValueError):
-        EstimateResult(g, np.array([0.5]), np.array([0.1]),
-                       np.array([True]), np.array([False]))
-    with pytest.raises(ValueError):
-        EstimateResult(g, np.array([0.5]), np.array([-0.1]),
-                       np.array([False]), np.array([False]))
+        EstimateResult(g, np.array([np.nan, 0.5]), np.array([0.0, -0.1]),
+                       np.array([False, False]))
 
 
 def test_estimator_input_validation():

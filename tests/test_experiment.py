@@ -1,10 +1,12 @@
 """Tests for the Monte Carlo harness: cells, tables, normality."""
 
 import io
+import json
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,9 +47,8 @@ ZERO = DriftSpec("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 def _result(grid, values):
     values = np.asarray(values, dtype=float)
-    und = ~np.isfinite(values)
     return EstimateResult(np.asarray(grid, dtype=float), values,
-                          np.where(und, 0.0, 1.0), und,
+                          np.where(np.isfinite(values), 1.0, 0.0),
                           np.zeros(values.size, dtype=bool))
 
 
@@ -184,12 +185,13 @@ def built_pools(monkeypatch):
     return built
 
 
-def test_run_cell_deterministic_and_thread_invariant(built_pools):
-    # a burn-in that puts the group above the batch budget, so that its six
-    # replications are more than one unit of work and threads=2 builds a pool
+def test_run_cell_deterministic_and_thread_invariant(built_pools,
+                                                     monkeypatch):
+    # a batch budget of three paths, so that the six replications are more
+    # than one unit of work and threads=2 builds a pool
+    monkeypatch.setattr(experiment, "_RECORD_BUDGET", 3 * 80)
     plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
-                          n_replications=6, grid_count=25, base_seed=5,
-                          burn_in=40_000)
+                          n_replications=6, grid_count=25, base_seed=5)
     a = run_cell(plan, 80, 0.3)
     b = run_cell(plan, 80, 0.3)
     assert built_pools == []
@@ -209,23 +211,28 @@ def test_median_is_bitwise_np_median(count):
         assert np.float64(got).tobytes() == np.median(values).tobytes()
 
 
-def _public_replication(plan, mode, n, beta, r, x0=None):
-    """Replication r of a cell through the public per-path pipeline: its
-    (rase, excluded grid points), or with x0 its estimate there, or the
-    exception that it raises."""
+def _public_estimate(plan, mode, n, beta, r, grid):
+    """The estimate of replication r of a cell on grid, through the public
+    per-path pipeline."""
     seed = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, r)
     cfg = SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
                     barrier=plan.barrier_for(mode), n_steps=n,
                     delta=delta_of_n(n), x0=plan.x0, seed=seed,
                     burn_in=plan.burn_in)
     k = epanechnikov(bandwidth(n, beta))
+    if plan.estimator_type == "continuous":
+        return nw_continuous(simulate_fine(cfg, plan.refine), k, grid)
+    return nw_discrete(simulate_path(cfg), k, grid)
+
+
+def _public_replication(plan, mode, n, beta, r, x0=None):
+    """Replication r of a cell through the public per-path pipeline: its
+    (rase, excluded grid points), or with x0 its estimate there, or the
+    exception that it raises."""
     grid = (estimation_grid(plan.lower, plan.upper, plan.grid_count)
             if x0 is None else [x0])
     try:
-        if plan.estimator_type == "continuous":
-            est = nw_continuous(simulate_fine(cfg, plan.refine), k, grid)
-        else:
-            est = nw_discrete(simulate_path(cfg), k, grid)
+        est = _public_estimate(plan, mode, n, beta, r, grid)
         if x0 is not None:
             return float(est.values[0])
         return (rase(est, builtin_drift(plan.case_id)),
@@ -314,15 +321,18 @@ def test_run_table_default_layout_is_eighteen_cells():
 @pytest.mark.parametrize("exc_type", [RuntimeError, StopIteration])
 def test_replication_failure_reports_index(monkeypatch, exc_type):
     real = experiment._cell_score
-
-    def boom(task, values, truth):
-        if task[-1] == 2:
-            raise exc_type("synthetic failure")
-        return real(task, values, truth)
-
-    monkeypatch.setattr(experiment, "_cell_score", boom)
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
                           n_replications=3, grid_count=10, base_seed=2)
+    # the hook fails on replication 2's estimate
+    bad = _public_estimate(plan, "two_sided", 40, 0.3, 2,
+                           estimation_grid(0.0, 3.0, 10)).values
+
+    def boom(values, truth):
+        if np.array_equal(values, bad, equal_nan=True):
+            raise exc_type("synthetic failure")
+        return real(values, truth)
+
+    monkeypatch.setattr(experiment, "_cell_score", boom)
     with pytest.raises(ReplicationError,
                        match=f"replication 2: {exc_type.__name__}"):
         run_cell(plan, 40, 0.3)
@@ -341,19 +351,32 @@ _FOUR_CELLS = ExperimentPlan(case_id=2, barrier_mode="both", n_list=(40, 60),
                              grid_count=10, base_seed=2)
 _REAL_CELL_SCORE = experiment._cell_score
 _REAL_POINT_SCORE = experiment._point_score
+# The estimate values on which the two hooks below fail; `_fail_at` sets
+# them, and pool workers inherit them when they fork.
+_FAIL_VALUES = None
+
+
+def _fail_at(monkeypatch, plan, mode, n, beta, r, grid):
+    """Make the failing hooks fail on replication r of a cell only."""
+    monkeypatch.setitem(globals(), "_FAIL_VALUES", _public_estimate(
+        plan, mode, n, beta, r, grid).values)
+
+
+def _fails(values):
+    return np.array_equal(values, _FAIL_VALUES, equal_nan=True)
 
 
 # Module-level hooks, so that pool processes can unpickle them.
-def _cell_score_failing_once(task, values, truth):
-    if task[1:3] == ("two_sided", 60) and task[-1] == 2:
+def _cell_score_failing_once(values, truth):
+    if _fails(values):
         raise RuntimeError("synthetic failure")
-    return _REAL_CELL_SCORE(task, values, truth)
+    return _REAL_CELL_SCORE(values, truth)
 
 
-def _point_score_failing_once(task, values, truth):
-    if task[-1] == 2:
+def _point_score_failing_once(values, truth):
+    if _fails(values):
         raise RuntimeError("synthetic failure")
-    return _REAL_POINT_SCORE(task, values, truth)
+    return _REAL_POINT_SCORE(values, truth)
 
 
 def _table_tasks(plan):
@@ -363,7 +386,7 @@ def _table_tasks(plan):
 
 
 def test_batches_cut_each_group_equally_under_the_budget():
-    plan = ExperimentPlan(case_id=1, n_list=(400, 1600, 30_000),
+    plan = ExperimentPlan(case_id=1, n_list=(400, 1600, 300_000),
                           n_replications=20)
     tasks = _table_tasks(plan)
     batches = experiment._batches(tasks)
@@ -380,13 +403,57 @@ def test_batches_cut_each_group_equally_under_the_budget():
     # 60 paths of 400 or of 1600 steps fit in one batch
     assert sizes[("two_sided", 400)] == [60]
     assert sizes[("one_sided_lower", 1600)] == [60]
-    # five paths of 30 000 steps would pass the budget: batches of four
-    assert sizes[("two_sided", 30_000)] == [4] * 15
+    # four paths of 300 000 steps would pass the budget: batches of three
+    assert sim_module._RECORD_BUDGET // 300_000 == 3
+    assert sizes[("two_sided", 300_000)] == [3] * 20
     # a group narrower than the kernel crossover is still one batch
     few = ExperimentPlan(case_id=1, n_list=(400,), beta_list=(0.3,),
                          n_replications=sim_module._MIN_BATCH - 1)
     assert [len(b) for _, b in experiment._batches(_table_tasks(few))] == \
         [sim_module._MIN_BATCH - 1] * 2  # one batch per barrier mode
+
+
+def test_fine_path_groups_step_in_vector_batches(monkeypatch):
+    # the continuous estimator's default paths at n = 1600: refine 10 makes
+    # them 16 000 steps long, and a group of 60 is cut no narrower than the
+    # width at which _simulate steps a batch with the vector kernel
+    plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
+                          n_list=(1600,), n_replications=20,
+                          estimator_type="continuous")
+    tasks = _table_tasks(plan)
+    batches = experiment._batches(tasks)
+    assert len(tasks) == 60
+    assert {cfg.n_steps for cfg, _ in batches} == {16_000}
+    assert all(len(b) >= sim_module._MIN_BATCH for _, b in batches)
+    stepped = []
+    monkeypatch.setattr(sim_module, "_vector_steps",
+                        lambda *args: stepped.append("vector") or {})
+    monkeypatch.setattr(sim_module, "_steps",
+                        lambda *args: stepped.append("scalar") or {})
+    for cfg, b in batches:
+        sim_module._simulate(cfg, [
+            replication_seed(p.base_seed, p.case_id, mode, n, beta, r)
+            for p, mode, n, beta, r in (tasks[i] for i in b)])
+    assert stepped == ["vector"] * len(batches)
+
+
+def test_bench_table_groups_stay_one_batch():
+    # the benchmark's `table` command: each (mode, n) group is one batch
+    from refsde.cli import parse
+    spec = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                       / "spec.json").read_text())
+    p = parse(spec["workloads"]["table"]["commands"][0]
+              + ["--out", "t.csv"]).params
+    plan = ExperimentPlan(case_id=p["case"], barrier_mode=p["mode"],
+                          n_list=p["n_list"], beta_list=p["beta_list"],
+                          n_replications=p["reps"],
+                          estimator_type=p["type"], refine=p["refine"],
+                          burn_in=p["burn_in"])
+    tasks = _table_tasks(plan)
+    groups = {t[1:3] for t in tasks}
+    batches = experiment._batches(tasks)
+    assert len(batches) == len(groups) == 6
+    assert [len(b) for _, b in batches] == [len(tasks) // 6] * 6
 
 
 _BASE_PLAN = dict(case_id=1, n_list=(60,), beta_list=(0.3, 0.2),
@@ -482,6 +549,8 @@ def test_run_table_builds_one_pool(built_pools):
 
 def test_pooled_failure_is_filed_like_serial(monkeypatch):
     clean, _ = run_table(_FOUR_CELLS)
+    _fail_at(monkeypatch, _FOUR_CELLS, "two_sided", 60, 0.3, 2,
+             estimation_grid(0.0, 3.0, 10))
     monkeypatch.setattr(experiment, "_cell_score", _cell_score_failing_once)
     serial = run_table(_FOUR_CELLS)
     summaries, failures = run_table(_FOUR_CELLS, threads=2)
@@ -495,22 +564,25 @@ def test_pooled_failure_is_filed_like_serial(monkeypatch):
 
 @pytest.mark.parametrize("threads", [None, 2])
 def test_normality_failure_reports_index(monkeypatch, built_pools, threads):
-    # the burn-in puts the four replications in two batches of two, so that
-    # threads=2 runs them in a pool
+    # a batch budget of two paths puts the four replications in two
+    # batches, so that threads=2 runs them in a pool
+    monkeypatch.setattr(experiment, "_RECORD_BUDGET", 2 * 400)
+    plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
+                          n_list=(400,), beta_list=(0.3,), n_replications=4)
+    _fail_at(monkeypatch, plan, "two_sided", 400, 0.3, 2, np.array([1.5]))
     monkeypatch.setattr(experiment, "_point_score", _point_score_failing_once)
     with pytest.raises(ReplicationError,
                        match="^replication 2: RuntimeError: synthetic failure$"):
-        normality_check(2, 1.5, 400, 0.3, 4, 0, burn_in=40_000,
-                        threads=threads)
+        normality_check(2, 1.5, 400, 0.3, 4, 0, threads=threads)
     assert len(built_pools) == (threads == 2)
 
 
-def test_pool_has_no_more_workers_than_batches(built_pools):
+def test_pool_has_no_more_workers_than_batches(built_pools, monkeypatch):
     # six replications in two batches of three: threads=4 builds a pool of
     # two workers, not four of which two would sit idle
+    monkeypatch.setattr(experiment, "_RECORD_BUDGET", 3 * 80)
     plan = ExperimentPlan(case_id=1, barrier_mode="two_sided",
-                          n_replications=6, grid_count=25, base_seed=5,
-                          burn_in=40_000)
+                          n_replications=6, grid_count=25, base_seed=5)
     serial = run_cell(plan, 80, 0.3)
     assert built_pools == []
     assert run_cell(plan, 80, 0.3, threads=4) == serial
@@ -552,11 +624,17 @@ def test_normality_check_needs_concrete_mode_before_work(monkeypatch, mode):
 
 def test_normality_report_fields_and_dropped_counter(monkeypatch):
     real = experiment._point_score
+    plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
+                          n_list=(400,), beta_list=(0.3,), n_replications=6,
+                          base_seed=123)
+    # the hook drops the estimates of replications 2 and 5
+    drop = [_public_estimate(plan, "two_sided", 400, 0.3, r,
+                             np.array([1.5])).values for r in (2, 5)]
 
-    def patchy(task, values, truth):
-        if task[-1] in (2, 5):
+    def patchy(values, truth):
+        if any(np.array_equal(values, d) for d in drop):
             return float("nan")
-        return real(task, values, truth)
+        return real(values, truth)
 
     monkeypatch.setattr(experiment, "_point_score", patchy)
     rep = normality_check(2, 1.5, 400, 0.3, 6, 123)
@@ -571,7 +649,7 @@ def test_normality_report_fields_and_dropped_counter(monkeypatch):
 
 def test_normality_all_dropped_raises(monkeypatch):
     monkeypatch.setattr(experiment, "_point_score",
-                        lambda task, values, truth: float("nan"))
+                        lambda values, truth: float("nan"))
     with pytest.raises(NoDataError):
         normality_check(2, 1.5, 400, 0.3, 3, 0)
 

@@ -586,9 +586,8 @@ def test_batch_at_the_budget_peaks_within_its_arrays():
     # per path-step.  It frees those before the paths' regulators take
     # their place (states and two regulators, again 3), so the peak stays
     # below 4; separate draw arrays would reach 5.
-    import refsde.experiment as experiment
     n = 1600
-    width = experiment._BATCH_STEPS // n
+    width = sim_module._RECORD_BUDGET // n
     base = SimConfig(drift=builtin_drift(1), sigma=0.2, barrier=TWO_SIDED,
                      n_steps=n, delta=0.01)
     keys = [(2, r) for r in range(width)]
