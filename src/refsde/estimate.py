@@ -51,20 +51,13 @@ class EstimateResult:
     def __post_init__(self) -> None:
         for name in ("grid", "values", "denominators", "boundary_mask"):
             getattr(self, name).setflags(write=False)
-        _check_estimate(self.denominators)
+        if np.any(self.denominators < 0.0):
+            raise ValueError("denominators must be nonnegative")
 
     @property
     def undefined_mask(self) -> np.ndarray:
         """The grid points where the estimate is not a finite number."""
         return ~np.isfinite(self.values)
-
-
-def _check_estimate(denominators) -> None:
-    """The check of an estimate's denominators: EstimateResult's, and the
-    replication harness's on each column of a batch, whose estimates it
-    never wraps in an EstimateResult."""
-    if np.any(denominators < 0.0):
-        raise ValueError("denominators must be nonnegative")
 
 
 def bandwidth(n: int, beta: float) -> float:
@@ -194,25 +187,19 @@ def _boundary_mask(path: SamplePath, grid: np.ndarray, h: float) -> np.ndarray:
     return mask
 
 
-def _check_inputs(points: int, barrier: BarrierConfig, grid) -> np.ndarray:
-    """The estimation grid as a 1-d float array, for a path of ``points``
-    points in ``barrier``'s domain."""
-    if points < 2:
-        raise ValueError("estimation needs a path with at least 2 points")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if not barrier.contains(grid):
-        raise ValueError("grid points must lie in the barrier domain")
-    return grid
-
-
 def nw_discrete(path: SamplePath, k: KernelSpec, grid) -> EstimateResult:
     """Discrete-type estimator from grid observations (X, L, R).
 
     Regulator increments come from the simulated channels; in one-sided mode
     the (identically zero) R channel is omitted from the numerator.
     """
-    grid = _check_inputs(path.x.shape[0], path.barrier, grid)
-    # one copy of a batched path's strided column, read by every pass below
+    if path.x.shape[0] < 2:
+        raise ValueError("estimation needs a path with at least 2 points")
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if not path.barrier.contains(grid):
+        raise ValueError("grid points must lie in the barrier domain")
+    # one contiguous copy of a strided column (read_path_csv's paths are
+    # columns of one row-major table), read by every pass below
     x = np.ascontiguousarray(path.x)
     values, f_hat = _nw_records(x, np.diff(path.l_reg), np.diff(path.r_reg),
                                 path.barrier, path.delta, k, grid)

@@ -24,10 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .density import f_eval, invariant_density, sigma_eval
-from .estimate import (EstimateResult, _check_estimate, _check_inputs,
-                       _check_rates, _nw_records, bandwidth, delta_of_n)
-from .model import (BarrierConfig, DriftSpec, _check_path, builtin_drift,
-                    epanechnikov)
+from .estimate import (EstimateResult, _check_rates, _nw_records, bandwidth,
+                       delta_of_n)
+from .model import BarrierConfig, DriftSpec, builtin_drift, epanechnikov
 from .simulate import (_RECORD_BUDGET, SimConfig, _simulate, fine_config,
                        write_csv)
 # unused here; bench/traced.py wraps these four names on this module
@@ -142,14 +141,16 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Replication statistics of one cell's RASE sample."""
+    """Replication statistics of one cell's RASE sample.
+
+    The cell's bandwidth h and step delta are not stored: the schedule
+    fixes them from n and beta.
+    """
 
     case_id: int
     mode: str
     n: int
     beta: float
-    h: float
-    delta: float
     rase_mean: float
     rase_std: float
     rase_median: float
@@ -163,6 +164,16 @@ class McSummary:
             raise ValueError("RASE statistics must be nonnegative")
         if self.n_replications <= 0:
             raise ValueError("n_replications must be positive")
+
+    @property
+    def h(self) -> float:
+        """The cell's bandwidth n^(-beta)."""
+        return bandwidth(self.n, self.beta)
+
+    @property
+    def delta(self) -> float:
+        """The cell's step n^(-2/3)."""
+        return delta_of_n(self.n)
 
 
 @dataclass(frozen=True)
@@ -294,13 +305,23 @@ def _batch_worker(job):
 
     A job is (score, grid, cfg, tasks): the batch's path config and its
     tasks, whose stream keys `replication_seed` builds, one column each.
-    Once per batch: the grid's checks, the truth on the grid and one kernel
-    per beta.  Per column: the regulator increments, SamplePath's checks on
-    them (`_check_path`), the one NW route (`_nw_records`), EstimateResult's
-    check (`_check_estimate`), and score(values, truth).  Returns one
-    result per task, or the exception that task raised: the same as
-    estimating the task's path from simulate_path (or simulate_fine) with
-    nw_discrete (or nw_continuous) and scoring that.
+    Once per batch: the truth on the grid and one kernel per beta.  Per
+    column: the regulator increments, the one NW route (`_nw_records`) and
+    score(values, truth), which raises NoDataError for an estimate with no
+    defined point.  Returns one result per task, or the exception that task
+    raised: the same as estimating the task's path from simulate_path (or
+    simulate_fine) with nw_discrete (or nw_continuous) and scoring that.
+
+    No column repeats the checks of SamplePath, EstimateResult or
+    nw_discrete, because none of them can fail here.  A column that the
+    simulator did not settle into the barrier domain is filed in its
+    errors and never scored.  The regulators are running sums of
+    max(-g, 0) and max(g, 0), so they start at 0 and never decrease, and
+    one-sided g <= 0, so R is identically 0.  The denominators are sums of
+    the kernel's fmax(., 0) / h.  The grid is `estimation_grid`'s or a
+    checked x0, and every beta and n was checked when the plan was built
+    (`_check_cell`), so the bandwidths are valid and every path has at
+    least 3 points.
     """
     score, grid, cfg, tasks = job
     try:
@@ -310,13 +331,8 @@ def _batch_worker(job):
     except Exception as exc:
         return [exc] * len(tasks)
     n = tasks[0][2]
-    try:
-        grid = _check_inputs(x.shape[0], cfg.barrier, grid)
-        truth = cfg.drift(grid)
-        kernels = {b: epanechnikov(bandwidth(n, b))
-                   for b in {t[3] for t in tasks}}
-    except Exception as exc:
-        return [errors.get(j, exc) for j in range(len(tasks))]
+    truth = cfg.drift(grid)
+    kernels = {b: epanechnikov(bandwidth(n, b)) for b in {t[3] for t in tasks}}
     return [errors[j] if j in errors else
             _run_task(_score_column, score, kernels[task[3]], cfg, grid, truth,
                       x[:, j], l_reg[:, j], r_reg[:, j])
@@ -326,11 +342,8 @@ def _batch_worker(job):
 def _score_column(score, k, cfg, grid, truth, x, l_reg, r_reg):
     """score of one task's estimate from its column of the batch arrays."""
     # one copy of the strided column, read by every pass below
-    x = np.ascontiguousarray(x)
-    dl, dr = np.diff(l_reg), np.diff(r_reg)
-    _check_path(x, dl, dr, cfg.barrier)
-    values, f_hat = _nw_records(x, dl, dr, cfg.barrier, cfg.delta, k, grid)
-    _check_estimate(f_hat)
+    values, _ = _nw_records(np.ascontiguousarray(x), np.diff(l_reg),
+                            np.diff(r_reg), cfg.barrier, cfg.delta, k, grid)
     return score(values, truth)
 
 
@@ -362,10 +375,12 @@ def _map_replications(score, tasks, grid, threads):
     stream keys of its tasks, stepped together by one `_simulate` call.
     Batches go largest first to the workers, serially or in one pool, one
     batch at a time: a batch already holds up to `_RECORD_BUDGET`
-    path-steps, and chunks of several batches only leave one worker a
-    longer tail (criterion 5's continuous half, 63 batches of 2**17
-    path-steps on 2 workers, took 6.4 s in chunks of seven against 6.0 s
-    one at a time; medians of five runs on a 2-vCPU VM).  A job holds only
+    path-steps, so chunks of several batches need a chunk size and gain
+    nothing measurable (criterion 5's continuous half, 8 batches of 62-63
+    paths of 16 000 steps on 2 workers, took a median 1.89 s one at a time
+    against 1.94 s in chunks of four over ten alternating runs each on a
+    2-vCPU VM, and 1.79 s against 1.64 s over five, within the VM's
+    run-to-run spread of about 0.5 s).  A job holds only
     picklable values (the path config, plans, numbers, strings), each task
     names its own stream key, and a column's estimate reads only its own
     column, so neither the batching nor the partition into workers can
@@ -410,8 +425,7 @@ def _summary(plan: ExperimentPlan, mode: str, n: int, beta: float,
     excluded = np.array([e for _, e in results], dtype=float)
     std = float(np.std(rases, ddof=1)) if rases.size > 1 else 0.0
     return McSummary(case_id=plan.case_id, mode=mode, n=int(n),
-                     beta=float(beta), h=bandwidth(n, beta),
-                     delta=delta_of_n(n), rase_mean=float(rases.mean()),
+                     beta=float(beta), rase_mean=float(rases.mean()),
                      rase_std=std, rase_median=_median(rases.tolist()),
                      excluded_points_mean=float(excluded.mean()),
                      n_replications=plan.n_replications)

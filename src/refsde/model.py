@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +28,6 @@ __all__ = [
     "builtin_drift",
     "epanechnikov",
 ]
-
-BarrierMode = Literal["two_sided", "one_sided_lower"]
-
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -55,33 +52,37 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    """Reflecting barrier placement: [lower, upper] or [lower, inf)."""
+    """Reflecting barrier placement: [lower, upper], or [lower, inf) when
+    upper is None.
+
+    The barrier mode is derived from upper, not stored: one-sided
+    ("one_sided_lower") exactly when there is no upper barrier, two-sided
+    ("two_sided") otherwise.  A given upper must be finite and above lower.
+    """
 
     lower: float = 0.0
     upper: float | None = 3.0
-    mode: BarrierMode = "two_sided"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lower) or self.lower < 0.0:
             raise ValueError("lower barrier must be finite and >= 0")
-        if self.mode == "two_sided":
-            if self.upper is None or not math.isfinite(self.upper):
-                raise ValueError("two_sided mode requires a finite upper barrier")
-            if not self.lower < self.upper:
-                raise ValueError("two_sided mode requires lower < upper")
-        elif self.mode == "one_sided_lower":
-            if self.upper is not None:
-                raise ValueError("one_sided_lower mode takes no upper barrier")
-        else:
-            raise ValueError(f"unknown barrier mode {self.mode!r}")
+        if self.upper is not None and not self.lower < self.upper < math.inf:
+            raise ValueError("a given upper barrier must be finite and "
+                             "above the lower one")
 
     @classmethod
     def two_sided(cls, lower: float, upper: float) -> "BarrierConfig":
-        return cls(lower=lower, upper=upper, mode="two_sided")
+        return cls(lower=lower, upper=upper)
 
     @classmethod
     def one_sided(cls, lower: float) -> "BarrierConfig":
-        return cls(lower=lower, upper=None, mode="one_sided_lower")
+        return cls(lower=lower, upper=None)
+
+    @property
+    def mode(self) -> str:
+        """The barrier mode: "one_sided_lower" without an upper barrier,
+        else "two_sided"."""
+        return "two_sided" if self.upper is not None else "one_sided_lower"
 
     @property
     def top(self) -> float:
@@ -128,8 +129,14 @@ class SamplePath:
             raise ValueError("path must contain at least one grid point")
         if self.l_reg[0] != 0.0 or self.r_reg[0] != 0.0:
             raise ValueError("regulators must start at 0")
-        _check_path(self.x, np.diff(self.l_reg), np.diff(self.r_reg),
-                    self.barrier)
+        dl, dr = np.diff(self.l_reg), np.diff(self.r_reg)
+        if np.any(dl < 0.0) or np.any(dr < 0.0):
+            raise ValueError("regulators must be nondecreasing")
+        if not self.barrier.contains(self.x):
+            raise ValueError("states leave the barrier domain")
+        # with r_reg[0] = 0, R is identically 0 exactly when every dR is 0
+        if self.barrier.mode == "one_sided_lower" and np.any(dr != 0.0):
+            raise ValueError("one-sided paths must have r_reg identically 0")
 
     @property
     def n_steps(self) -> int:
@@ -141,22 +148,6 @@ class SamplePath:
         t = np.arange(self.x.shape[0]) * self.delta
         t.setflags(write=False)
         return t
-
-
-def _check_path(x, dl, dr, barrier: BarrierConfig) -> None:
-    """The checks of a path's states x and regulator increments dl, dr whose
-    regulators start at 0: SamplePath's, and the replication harness's on
-    each column of a batch that it never wraps in a SamplePath.
-
-    With both regulators starting at 0, R is identically 0 exactly when
-    every dr is 0.
-    """
-    if np.any(dl < 0.0) or np.any(dr < 0.0):
-        raise ValueError("regulators must be nondecreasing")
-    if not barrier.contains(x):
-        raise ValueError("states leave the barrier domain")
-    if barrier.mode == "one_sided_lower" and np.any(dr != 0.0):
-        raise ValueError("one-sided paths must have r_reg identically 0")
 
 
 def _epanechnikov(t):

@@ -531,8 +531,11 @@ def read_path_csv(in_path: str, barrier: BarrierConfig,
     """Rebuild a SamplePath from a `t,x,l_reg,r_reg` CSV.
 
     The barrier is not stored in the CSV and must be supplied; delta is
-    inferred from the time column unless given.  The time column must equal
-    k*delta, k = 0..n, exactly: the SamplePath derives its times from delta.
+    inferred from the time column as t_1 - t_0 unless given, so a file that
+    `write_path_csv` wrote reads back with its own delta.  Each time t_k
+    must equal k*delta to within 1e-9 |t_k|, which admits times written in
+    decimal (0.3 is not 3 * 0.1 in binary): the SamplePath derives its
+    times from delta.
 
     Accepted layout (the one `write_path_csv` writes, plus CRLF line ends):
     leading comment, `t,...` header and blank lines, where a `# seed=` comment
@@ -564,7 +567,8 @@ def read_path_csv(in_path: str, barrier: BarrierConfig,
         if data.shape[0] < 2:
             raise ValueError("cannot infer delta from a single-row path CSV")
         delta = float(data[1, 0] - data[0, 0])
-    if not np.array_equal(data[:, 0], np.arange(data.shape[0]) * delta):
+    t = data[:, 0]
+    if not (np.abs(np.arange(t.size) * delta - t) <= 1e-9 * np.abs(t)).all():
         raise ValueError("times must equal k*delta, k = 0..n")
     return SamplePath(delta=delta, x=data[:, 1], l_reg=data[:, 2],
                       r_reg=data[:, 3], seed=seed, barrier=barrier)

@@ -655,9 +655,12 @@ def test_normality_all_dropped_raises(monkeypatch):
 
 
 def test_summary_csv_format(tmp_path):
-    s = McSummary(case_id=2, mode="two_sided", n=400, beta=0.3, h=0.25,
-                  delta=0.02, rase_mean=0.5, rase_std=0.1, rase_median=0.45,
+    s = McSummary(case_id=2, mode="two_sided", n=400, beta=0.3,
+                  rase_mean=0.5, rase_std=0.1, rase_median=0.45,
                   excluded_points_mean=12.5, n_replications=30)
+    # h and delta are the schedule's, derived from n and beta
+    assert s.h == bandwidth(400, 0.3) == 400.0 ** -0.3
+    assert s.delta == delta_of_n(400) == 400.0 ** (-2.0 / 3.0)
     out = tmp_path / "table.csv"
     write_summary_csv([s], str(out), base_seed=6)
     lines = out.read_text().splitlines()
@@ -669,6 +672,7 @@ def test_summary_csv_format(tmp_path):
     assert cells[0] == "2"
     assert cells[1] == "two_sided"
     assert cells[2] == "400"
+    assert cells[4:6] == [f"{s.h:.17g}", f"{s.delta:.17g}"]
     assert cells[-1] == "30"
 
 

@@ -91,6 +91,8 @@ def test_drift_spec_rejects_nonpositive_bound():
 
 
 def test_barrier_two_sided_contains():
+    assert TWO_SIDED.mode == "two_sided"
+    assert TWO_SIDED == BarrierConfig(0.0, 3.0)
     assert TWO_SIDED.contains(1.7)
     assert TWO_SIDED.contains(np.array([0.0, 3.0]))
     assert not TWO_SIDED.contains(3.0000001)
@@ -102,18 +104,21 @@ def test_barrier_one_sided_contains():
     b = BarrierConfig.one_sided(0.5)
     assert b.upper is None
     assert b.mode == "one_sided_lower"
+    # the mode is derived from upper: no upper barrier is one-sided
+    assert BarrierConfig(0.0, None).mode == "one_sided_lower"
+    assert BarrierConfig(0.0, None) == BarrierConfig.one_sided(0.0)
     assert b.contains(1e9)
     assert not b.contains(0.49)
     assert not b.contains(math.inf)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(lower=-0.1, upper=3.0, mode="two_sided"),
-    dict(lower=0.0, upper=None, mode="two_sided"),
-    dict(lower=2.0, upper=1.0, mode="two_sided"),
-    dict(lower=0.0, upper=3.0, mode="one_sided_lower"),
-    dict(lower=0.0, upper=3.0, mode="reflecting"),
-    dict(lower=math.inf, upper=None, mode="one_sided_lower"),
+    dict(lower=-0.1, upper=3.0),
+    dict(lower=2.0, upper=1.0),
+    dict(lower=math.inf, upper=None),
+    dict(lower=0.0, upper=math.inf),
+    dict(lower=0.0, upper=math.nan),
+    dict(lower=1.0, upper=1.0),
 ])
 def test_barrier_rejects_bad_configs(kwargs):
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 import refsde.simulate as sim_module
@@ -69,6 +70,37 @@ def _cfg(**kw):
                 n_steps=1, delta=0.05, seed=0)
     base.update(kw)
     return SimConfig(**base)
+
+
+@pytest.mark.parametrize("mu, delta", [(-0.5, 0.25), (0.4, 0.5),
+                                       (-1.0, 1.0)])
+def test_one_sided_constant_drift_matches_harrison_law(mu, delta):
+    # With a constant drift mu, the process is Brownian motion with drift
+    # reflected at 0, whose law at time t from x is (Harrison, Brownian
+    # Motion and Stochastic Flow Systems, 1985), with s = sigma sqrt t,
+    #   P(X_t <= y) = Phi((y - x - mu t) / s)
+    #                 - exp(2 mu y / sigma^2) Phi((-y - x - mu t) / s).
+    # Each step samples the within-step minimum exactly given the endpoint,
+    # so X_T has this law for any step size.  The KS distance of 20 000
+    # paths stays inside the DKW band sqrt(ln(2 / alpha) / (2 N)) = 0.0138
+    # at alpha = 1e-3, fixed before the run.
+    sigma, x0, t_end, paths = 1.0, 0.5, 1.0, 20_000
+    cfg = SimConfig(drift=_const_drift(mu), sigma=sigma,
+                    barrier=BarrierConfig.one_sided(0.0),
+                    n_steps=round(t_end / delta), delta=delta, x0=x0)
+    x, _, _, errors = sim_module._simulate(
+        cfg, [(1985, round(delta * 100), r) for r in range(paths)])
+    assert errors == {}
+    y = np.sort(x[-1])
+    scale = sigma * math.sqrt(t_end)
+    cdf = (ndtr((y - x0 - mu * t_end) / scale)
+           - np.exp(2.0 * mu * y / sigma ** 2)
+           * ndtr((-y - x0 - mu * t_end) / scale))
+    ks = max((np.arange(1, paths + 1) / paths - cdf).max(),
+             (cdf - np.arange(paths) / paths).max())
+    band = math.sqrt(math.log(2.0 / 1e-3) / (2 * paths))
+    assert round(band, 4) == 0.0138
+    assert ks < band
 
 
 def test_step_sigma_zero_interior():
@@ -701,6 +733,21 @@ def test_read_path_csv_rejects_malformed(tmp_path, body, delta):
     f.write_text(body)
     with pytest.raises(ValueError):
         read_path_csv(str(f), barrier=TWO_SIDED, delta=delta)
+
+
+@pytest.mark.parametrize("step, count", [(0.1, 12), (0.01, 2000)])
+def test_read_path_csv_accepts_decimal_times(tmp_path, step, count):
+    # times written in decimal are k*step to within rounding, not bit for
+    # bit: 0.3 != 3 * 0.1, and 263 of the 2000 times at 0.01 differ
+    times = [round(k * step, 10) for k in range(count)]
+    assert any(t != k * step for k, t in enumerate(times))
+    f = tmp_path / "decimal.csv"
+    f.write_text("# seed=5\nt,x,l_reg,r_reg\n"
+                 + "".join(f"{t!r},1.5,0,0\n" for t in times))
+    p = read_path_csv(str(f), barrier=TWO_SIDED)
+    assert p.delta == step
+    assert p.x.shape == (count,)
+    np.testing.assert_allclose(p.times, times, rtol=1e-12)
 
 
 def test_read_path_csv_skips_comments_blank_lines_and_crlf(tmp_path):
