@@ -95,11 +95,11 @@ _FLAGS = {
     "lower": (float, "lower barrier position"),
     "upper": (float, "upper barrier / grid upper edge"),
     "burn_in": (int, "discarded initial steps"),
-    "refine": (int, "fine-grid subdivision per step"),
+    "refine": (int, "sub-steps per step: 1 is the discrete-type estimator,"
+                    " R > 1 the continuous-type one on steps delta/R"),
     "grid": (int, "number of evaluation points"),
     "h": (float, "kernel bandwidth (state units)"),
     "quad_panels": (int, "Simpson panels per integral"),
-    "type": (str, "estimator type: discrete or continuous"),
     "grid_min": (float, "grid lower edge (default: lower)"),
     "grid_max": (float, "grid upper edge (default: upper)"),
     "grid_count": (int, "number of grid points"),
@@ -132,12 +132,12 @@ _SPECS: dict[str, dict] = {
     "experiment": {"case": _REQUIRED, **_MODEL,
                    "mode": ("both",) + _TWO_MODES, "n_list": "400,900,1600",
                    "beta_list": "0.3,0.2,0.15", "reps": 1000, "grid": 300,
-                   "type": "discrete", "refine": 10, "x0": None, "burn_in": 0,
+                   "refine": 1, "x0": None, "burn_in": 0,
                    "seed": 0, "threads": os.cpu_count() or 1,
                    "out": _REQUIRED},
     "normality": {"case": _REQUIRED, "x0": _REQUIRED, "n": _REQUIRED,
                   "beta": _REQUIRED, "reps": 500, **_MODEL,
-                  "type": "discrete", "refine": 10, "burn_in": 0,
+                  "refine": 1, "burn_in": 0,
                   "epsilon": 0.01, "quad_panels": 1024, "seed": 0,
                   "threads": os.cpu_count() or 1, "out": None},
 }
@@ -283,16 +283,20 @@ def _run_estimate(params: dict):
     return 1, format_seed(path.seed)
 
 
-def _run_experiment(params: dict):
-    plan = ExperimentPlan(case_id=params["case"], barrier_mode=params["mode"],
-                          sigma=params["sigma"], n_list=params["n_list"],
-                          beta_list=params["beta_list"],
-                          n_replications=params["reps"],
-                          grid_count=params["grid"],
-                          estimator_type=params["type"],
+def _plan(params: dict, **cell) -> ExperimentPlan:
+    """The ExperimentPlan of an `experiment` or `normality` run: the flags
+    both commands share, and ``cell``'s plan fields."""
+    return ExperimentPlan(case_id=params["case"], barrier_mode=params["mode"],
+                          sigma=params["sigma"], n_replications=params["reps"],
                           base_seed=params["seed"], refine=params["refine"],
                           lower=params["lower"], upper=params["upper"],
-                          x0=params["x0"], burn_in=params["burn_in"])
+                          burn_in=params["burn_in"], **cell)
+
+
+def _run_experiment(params: dict):
+    plan = _plan(params, n_list=params["n_list"],
+                 beta_list=params["beta_list"], grid_count=params["grid"],
+                 x0=params["x0"])
     summaries, failures = run_table(plan, threads=params["threads"])
     for fail in failures:
         print(f"refsde experiment: cell (case={fail.case_id} mode={fail.mode}"
@@ -306,13 +310,8 @@ def _run_experiment(params: dict):
 
 
 def _run_normality(params: dict):
-    report = normality_check(params["case"], params["x0"], params["n"],
-                             params["beta"], params["reps"], params["seed"],
-                             sigma=params["sigma"], mode=params["mode"],
-                             estimator_type=params["type"],
-                             refine=params["refine"], lower=params["lower"],
-                             upper=params["upper"], burn_in=params["burn_in"],
-                             epsilon=params["epsilon"],
+    plan = _plan(params, n_list=(params["n"],), beta_list=(params["beta"],))
+    report = normality_check(plan, params["x0"], epsilon=params["epsilon"],
                              quad_panels=params["quad_panels"],
                              threads=params["threads"])
     if params["out"] is None:
@@ -337,7 +336,10 @@ def main(args=None) -> int:
 
     A ValueError from the runner is a rejected value: exit 2.  Any other
     exception is a runtime failure: exit 1.  Either way the message goes to
-    stderr and no output file is left behind.
+    stderr and no output file is left behind.  An `--out` that is a
+    directory, or whose directory does not exist, is a rejected value too,
+    refused before the runner starts; write permission is left to the
+    runner's open.
 
     Once the command is parsed, and before it runs, `main` calls
     `gc.freeze()`: every object alive at that moment (numpy's and refsde's
@@ -358,7 +360,13 @@ def main(args=None) -> int:
             return int(exc.code or 0)
     gc.freeze()
     started = time.perf_counter()
+    out = cfg.params.get("out")
     try:
+        if isinstance(out, str) and os.path.isdir(out):
+            raise ValueError(f"--out {out!r} is a directory")
+        if isinstance(out, str) and not os.path.isdir(
+                os.path.dirname(out) or "."):
+            raise ValueError(f"--out {out!r}: no such directory")
         cells, seed_str = _DISPATCH[cfg.subcommand](cfg.params)
     except Exception as exc:
         print(f"refsde {cfg.subcommand}: error: {exc}", file=sys.stderr)

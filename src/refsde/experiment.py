@@ -82,10 +82,11 @@ class ExperimentPlan:
     """Configuration shared by all cells of a table run.
 
     ``barrier_mode`` is a concrete mode or "both", which ``modes`` expands
-    into two_sided plus one_sided_lower.  ``estimator_type`` selects the
-    observation-grid estimator ("discrete") or the fine-grid one
-    ("continuous", step delta/refine).  ``x0 = None`` picks the simulator
-    default start; a given x0 must lie in the domain of every mode run.
+    into two_sided plus one_sided_lower.  ``refine`` picks the estimator:
+    1 is the discrete-type estimator on the observed path, and R > 1 the
+    continuous-type one, the same kernel ratio on the path stepped at
+    delta/R.  ``x0 = None`` picks the simulator default start; a given x0
+    must lie in the domain of every mode run.
     One-sided cells still estimate on [lower, upper].  Building a plan
     builds the estimation grid and each cell's path config and bandwidth,
     so a value those reject fails before any replication runs.
@@ -98,9 +99,8 @@ class ExperimentPlan:
     beta_list: tuple[float, ...] = (0.3, 0.2, 0.15)
     n_replications: int = 1000
     grid_count: int = 300
-    estimator_type: str = "discrete"
     base_seed: int = 0
-    refine: int = 10
+    refine: int = 1
     lower: float = 0.0
     upper: float = 3.0
     x0: float | None = None
@@ -110,8 +110,6 @@ class ExperimentPlan:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "beta_list",
                            tuple(float(b) for b in self.beta_list))
-        if self.estimator_type not in ("discrete", "continuous"):
-            raise ValueError(f"unknown estimator_type {self.estimator_type!r}")
         if self.n_replications <= 0:
             raise ValueError("n_replications must be positive")
         if not self.n_list or not self.beta_list:
@@ -237,21 +235,19 @@ def _rase(values, defined, truth) -> float:
 
 
 def _path_config(plan: ExperimentPlan, mode: str, n: int) -> SimConfig:
-    """The config of every path of a (mode, n) group, seed aside: the
-    observation grid's, or the fine grid's for the continuous estimator.
-    The fine config is built for either estimator, so plan.refine is
-    checked for both."""
-    cfg = SimConfig(drift=builtin_drift(plan.case_id), sigma=plan.sigma,
-                    barrier=plan.barrier_for(mode), n_steps=n,
-                    delta=delta_of_n(n), x0=plan.x0, burn_in=plan.burn_in)
-    fine = fine_config(cfg, plan.refine)
-    return fine if plan.estimator_type == "continuous" else cfg
+    """The config of every path of a (mode, n) group, seed aside: n steps
+    of delta(n), stepped at delta/plan.refine.  At refine 1 that is the
+    observation grid itself, bit for bit."""
+    return fine_config(SimConfig(
+        drift=builtin_drift(plan.case_id), sigma=plan.sigma,
+        barrier=plan.barrier_for(mode), n_steps=n, delta=delta_of_n(n),
+        x0=plan.x0, burn_in=plan.burn_in), plan.refine)
 
 
 def _check_cell(plan: ExperimentPlan, mode: str, n: int, beta: float) -> None:
     """Build the objects a replication of the cell uses, so that a value
     they reject fails here, before any replication runs: the bandwidth,
-    the group's path config at the plan's refinement, and that config
+    the group's path config, whose refine it checks, and that config
     under the first replication's stream key, which holds the base seed."""
     bandwidth(n, beta)
     key = replication_seed(plan.base_seed, plan.case_id, mode, n, beta, 1)
@@ -489,15 +485,14 @@ def run_table(plan: ExperimentPlan, *, threads: int | None = None):
     return summaries, failures
 
 
-def normality_check(case_id: int, x0: float, n: int, beta: float,
-                    n_replications: int, base_seed: int, *,
-                    sigma: float = 0.2, mode: str = "two_sided",
-                    estimator_type: str = "discrete", refine: int = 10,
-                    lower: float = 0.0, upper: float = 3.0, burn_in: int = 0,
+def normality_check(plan: ExperimentPlan, x0: float, *,
                     epsilon: float = 0.01, quad_panels: int = 1024,
                     threads: int | None = None) -> NormalityReport:
-    """Standardize N point estimates at x0 and compare them with N(0, 1).
+    """Standardize the plan's N point estimates at x0 and compare them with
+    N(0, 1).
 
+    The plan holds one cell: one concrete barrier mode, one n and one beta.
+    Its refine picks the estimator, as in a table run.
     z_r = sqrt(n h Delta) * (b_hat_r(x0) - b(x0)) / sqrt(Sigma(x0)), with
     Sigma = sigma^2 / F taken from the closed-form invariant density.  For
     the continuous-type estimator the sqrt(T h) scaling with T = n*Delta is
@@ -512,29 +507,28 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
     (beta < 1/3) and T h^5 -> 0 (beta > 1/15), the continuous-record
     conditions with undersmoothing (Bandi & Phillips, Econometrica 2003).
 
-    Raises ValueError when x0 sits within one bandwidth of a barrier or
-    outside the domain, or beta or epsilon lies outside the window, before
-    any density or replication work.
+    Raises ValueError, before any density or replication work, for a plan
+    of more than one cell ("both" modes included), an x0 outside the domain
+    or within one bandwidth of a barrier, and a beta or epsilon outside the
+    window.
     """
+    if len(plan.modes) * len(plan.n_list) * len(plan.beta_list) != 1:
+        raise ValueError("normality_check runs a plan of one cell: one "
+                         "concrete mode, one n and one beta")
+    (mode,), (n,), (beta,) = plan.modes, plan.n_list, plan.beta_list
     h = bandwidth(n, beta)
-    delta = delta_of_n(n)
-    interior = (x0 - lower) > h and (mode != "two_sided" or (upper - x0) > h)
-    if not interior:
-        raise ValueError("x0 must be more than one bandwidth away from each barrier")
-    _check_rates(beta, epsilon)
-    plan = ExperimentPlan(case_id=case_id, barrier_mode=mode, sigma=sigma,
-                          n_list=(n,), beta_list=(beta,),
-                          n_replications=n_replications,
-                          estimator_type=estimator_type, base_seed=base_seed,
-                          refine=refine, lower=lower, upper=upper,
-                          burn_in=burn_in)
     barrier = plan.barrier_for(mode)
-    if not barrier.contains(x0):   # one-sided +inf passes the interior test
-        raise ValueError("x0 must lie in the barrier domain")
-    drift = builtin_drift(case_id)
-    dens = invariant_density(drift, sigma, barrier, quad_panels=quad_panels)
+    # False for a NaN x0, and for +inf one-sided, whose top is the largest
+    # float
+    if not (x0 - barrier.lower > h and barrier.top - x0 > h):
+        raise ValueError("x0 must lie in the barrier domain, more than one "
+                         "bandwidth away from each barrier")
+    _check_rates(beta, epsilon)
+    drift = builtin_drift(plan.case_id)
+    dens = invariant_density(drift, plan.sigma, barrier,
+                             quad_panels=quad_panels)
     sig2 = sigma_eval(dens, f_eval(dens, epanechnikov(h), float(x0)))
-    scale = math.sqrt(n * h * delta) / math.sqrt(sig2)
+    scale = math.sqrt(n * h * delta_of_n(n)) / math.sqrt(sig2)
     estimates = np.array(_checked(_map_replications(
         _point_score, _cell_tasks(plan, mode, n, beta),
         np.array([float(x0)]), threads)))
@@ -544,10 +538,10 @@ def normality_check(case_id: int, x0: float, n: int, beta: float,
         raise NoDataError("estimate undefined at x0 in every replication")
     z = scale * (kept - float(drift(x0)))
     var_z = float(np.var(z, ddof=1)) if kept.size > 1 else 0.0
-    return NormalityReport(case_id=int(case_id), x0=float(x0), n=int(n),
-                           beta=float(beta), mean_z=float(z.mean()),
-                           var_z=var_z, ks_stat=_ks_normal(z),
-                           dropped=dropped, n_replications=int(n_replications))
+    return NormalityReport(case_id=plan.case_id, x0=float(x0), n=n,
+                           beta=beta, mean_z=float(z.mean()), var_z=var_z,
+                           ks_stat=_ks_normal(z), dropped=dropped,
+                           n_replications=plan.n_replications)
 
 
 def _ks_normal(z) -> float:

@@ -37,8 +37,9 @@ the batch of one, `cfg` with its own seed, wrapped into a SamplePath; the
 replication harness reads the arrays of its batches themselves.
 
 `SimConfig` refuses a step too large for step 0's arithmetic to stay
-finite, so an out-of-scale sigma, delta or start fails when the config is
-built, not after a run.
+finite, and a two-sided step whose noise could span the domain, so an
+out-of-scale sigma, delta or start fails when the config is built, not
+after a run.
 """
 from __future__ import annotations
 
@@ -78,17 +79,17 @@ _BLOCK = 2**14
 _MIN_BATCH = 20
 # The most path-steps one batch of replications holds, so at most three
 # floats of records per path-step (24 MB at 2**20).  The rule: a group of
-# the longest paths the harness steps by default, the fine paths of the
-# continuous estimator at n = 1600 and refine 10 (16 000 steps each), must
-# fit at least _MIN_BATCH wide, so that the vector kernel steps it: 2**19
-# path-steps or more.  2**20 holds 65 such paths, and the 60 paths of each
-# (mode, n) group of a 20-replication table (at most 96 000 path-steps
-# each) stay one batch.  Measured on a 2-vCPU VM (two runs each, identical
-# bytes): `normality --case 2 --x0 1.5 --n 1600 --beta 0.3 --reps 500
-# --type continuous --threads 2` took 3.9-4.3 s wall and 40 MB peak RSS at
-# 2**17 (batches of 8, scalar kernel), 2.8 s and 46 MB at 2**19, and 2.0 s
-# and 57 MB at 2**20; `experiment --case 1 --mode both --threads 2` took
-# 5.2-5.4 s and 39 MB at 2**17 against 4.1-4.8 s and 58 MB at 2**20.
+# the fine paths of the continuous-type estimator at the paper's largest
+# n = 1600 and refine 10 (16 000 steps each) must fit at least _MIN_BATCH
+# wide, so that the vector kernel steps it: 2**19 path-steps or more.
+# 2**20 holds 65 such paths, and the 60 paths of each (mode, n) group of a
+# 20-replication table (at most 96 000 path-steps each) stay one batch.
+# Measured on a 2-vCPU VM (two runs each, identical bytes): `normality
+# --case 2 --x0 1.5 --n 1600 --beta 0.3 --reps 500 --refine 10 --threads 2`
+# took 3.9-4.3 s wall and 40 MB peak RSS at 2**17 (batches of 8, scalar
+# kernel), 2.8 s and 46 MB at 2**19, and 2.0 s and 57 MB at 2**20;
+# `experiment --case 1 --mode both --threads 2` took 5.2-5.4 s and 39 MB at
+# 2**17 against 4.1-4.8 s and 58 MB at 2**20.
 _RECORD_BUDGET = 2**20
 # The largest |ln U| and |Z| that a step can draw.  U = 1 - Uniform[0, 1)
 # is at least 2**-53, so |ln U| <= 53 ln 2.  numpy's ziggurat normal draws
@@ -96,6 +97,19 @@ _RECORD_BUDGET = 2**20
 # 2 (-ln U') > x^2 for another such U', so |Z| < r + sqrt(2 * 53 ln 2).
 _LN_U_MAX = 53.0 * math.log(2.0)
 _Z_MAX = 3.6541528853610088 + math.sqrt(2.0 * _LN_U_MAX)
+# The largest chance allowed for one two-sided step to need both barriers.
+# Both kernels reflect a step off one barrier at most, so such a step leaves
+# the domain, and its path fails on some seeds only.  Ignoring the drift, a
+# step that meets both barriers meets one first and then moves the width
+# w = u - l within the step; by the reflection principle each order has
+# chance at most exp(-w^2 / (2 sigma^2 delta)), so the step has at most
+# twice that.  At 1e-12 per step, the 8.7 million two-sided path-steps of a
+# paper-size table (1000 replications of 3 betas at n = 400, 900 and 1600)
+# meet such a step with chance below 1e-5.  The bound holds when
+# w / (sigma sqrt(delta)) is at least _MIN_SPAN = sqrt(2 ln(2e12)) = 7.53;
+# the default domain and sigma give 15 n^(1/3), 110 at n = 400.
+_BOTH_BARRIERS_MAX = 1e-12
+_MIN_SPAN = math.sqrt(2.0 * math.log(2.0 / _BOTH_BARRIERS_MAX))
 
 
 class SimulationDivergedError(RuntimeError):
@@ -139,7 +153,11 @@ class SimConfig:
     when step 0's bridge-maximum radicand d * d - 2 sigma^2 delta ln U could
     overflow for some draw (|Z| < _Z_MAX, |ln U| <= _LN_U_MAX): each alone
     above about 9.0e152 and 1.3e154, and a NaN b(x0).  b(x0) is evaluated
-    once, without numpy warnings.
+    once, without numpy warnings.  A two-sided step is refused when its
+    noise could span the domain: (upper - lower) / (sigma * sqrt(delta))
+    below _MIN_SPAN, where one step could need both barriers.  Both checks
+    read the config's own delta, so `simulate_fine` of a config is checked
+    at the config's step, not the finer one it steps at.
     """
 
     drift: DriftSpec
@@ -176,6 +194,12 @@ class SimConfig:
             raise ValueError(f"step out of scale: sigma*sqrt(delta) = "
                              f"{noise:g}, |b(x0)|*delta = {drift_step:g} can "
                              "overflow step 0's bridge maximum")
+        b = self.barrier
+        if b.upper is not None and not b.upper - b.lower >= _MIN_SPAN * noise:
+            raise ValueError(
+                f"step too wide for the domain: (upper - lower) / (sigma*sqrt"
+                f"(delta)) = {(b.upper - b.lower) / noise:.3g} is below "
+                f"{_MIN_SPAN:.3g}, where one step could need both barriers")
 
     @property
     def start(self) -> float:

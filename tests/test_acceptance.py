@@ -100,10 +100,14 @@ def test_criterion_04_case2_case3_magnitudes():
 
 
 def test_criterion_05_normality_bands():
+    # refine 1 is the discrete-type estimator, refine 10 the continuous-type
+    # one on ten sub-steps per step
     reports = {}
-    for etype in ("discrete", "continuous"):
-        reports[etype] = normality_check(2, 1.5, 1600, 0.3, 500, 0,
-                                         estimator_type=etype, refine=10)
+    for etype, refine in (("discrete", 1), ("continuous", 10)):
+        plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
+                              n_list=(1600,), beta_list=(0.3,),
+                              n_replications=500, base_seed=0, refine=refine)
+        reports[etype] = normality_check(plan, 1.5)
     lines = []
     ok = True
     for etype, rep in reports.items():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import refsde
+import refsde.cli as cli
 import refsde.experiment as experiment
 from refsde.cli import main, parse
 
@@ -117,7 +118,9 @@ def one_sided_csv(tmp_path_factory):
     pytest.param(_NORM[:8] + ["0.45"] + _NORM[9:], id="normality-beta"),
     pytest.param(_NORM + ["--threads", "0"], id="normality-threads"),
     pytest.param(_NORM + ["--quad-panels", "0"], id="normality-quad-panels"),
-    pytest.param(_NORM + ["--type", "x"], id="normality-type"),
+    # the estimator is --refine's: 1 discrete-type, R > 1 continuous-type
+    pytest.param(_EXP + ["--type", "continuous"], id="experiment-type"),
+    pytest.param(_NORM + ["--type", "continuous"], id="normality-type"),
     pytest.param(_NORM + ["--epsilon", "0.7"], id="normality-epsilon"),
     pytest.param(_SIM + ["--sigma", "inf"], id="simulate-sigma-inf"),
     pytest.param(_SIM + ["--delta", "inf"], id="simulate-delta-inf"),
@@ -144,6 +147,13 @@ def one_sided_csv(tmp_path_factory):
                  id="simulate-start-1.35e308"),
     pytest.param(_EXP + ["--threads", "1", "--sigma", "1e200"],
                  id="experiment-sigma-1e200"),
+    # a two-sided step whose noise could span the domain: seed 3 once
+    # failed at step 161, and a domain one ulp wide at step 0
+    pytest.param(["simulate", "--case", "1", "--sigma", "1", "--upper", "1",
+                  "--n", "2000", "--delta", "0.1", "--seed", "3"],
+                 id="simulate-noise-spans-domain"),
+    pytest.param(_SIM + ["--lower", "1", "--upper", "1.0000000000000002"],
+                 id="simulate-domain-one-ulp-wide"),
 ])
 def test_invalid_parameter_value_exits_two(argv, tmp_path, path_csv,
                                           one_sided_csv, capsys):
@@ -284,13 +294,13 @@ _THREADS = os.cpu_count() or 1
     (["experiment", "--case", "1", "--out", "t.csv"], None,
      {"case": 1, "mode": "both", "sigma": 0.2, "n_list": (400, 900, 1600),
       "beta_list": (0.3, 0.2, 0.15), "reps": 1000, "grid": 300,
-      "type": "discrete", "refine": 10, "lower": 0.0, "upper": 3.0,
+      "refine": 1, "lower": 0.0, "upper": 3.0,
       "x0": None, "burn_in": 0, "seed": 0, "threads": _THREADS,
       "out": "t.csv"}, "t.csv", 0),
     (["normality", "--case", "2", "--x0", "1.5", "--n", "60", "--beta",
       "0.3"], None,
      {"case": 2, "x0": 1.5, "n": 60, "beta": 0.3, "reps": 500, "sigma": 0.2,
-      "mode": "two_sided", "type": "discrete", "refine": 10, "lower": 0.0,
+      "mode": "two_sided", "refine": 1, "lower": 0.0,
       "upper": 3.0, "burn_in": 0, "epsilon": 0.01, "quad_panels": 1024,
       "seed": 0, "threads": _THREADS, "out": None}, None, 0),
     (["experiment", "--case", "3", "--config", "{cfg}", "--reps", "2",
@@ -298,7 +308,7 @@ _THREADS = os.cpu_count() or 1
      "# table setup\nn-list = 40,80\nmode = one-sided\nreps = 9\nseed = 3\n",
      {"case": 3, "mode": "one_sided_lower", "sigma": 0.2, "n_list": (40, 80),
       "beta_list": (0.3, 0.2, 0.15), "reps": 2, "grid": 300,
-      "type": "discrete", "refine": 10, "lower": 0.0, "upper": 3.0,
+      "refine": 1, "lower": 0.0, "upper": 3.0,
       "x0": None, "burn_in": 0, "seed": 3, "threads": _THREADS,
       "out": "t.csv"}, "t.csv", 3),
     (["estimate", "--config", "{cfg}", "--h", "0.2", "--out", "e.csv"],
@@ -384,6 +394,27 @@ def test_normality_writes_file_with_out(tmp_path):
                  "--beta", "0.3", "--reps", "3", "--seed", "4",
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "# seed=4"
+
+
+@pytest.mark.parametrize("argv, runner", [
+    (_EXP, "run_table"), (_DENS, "invariant_density"),
+    (_NORM, "normality_check"), (_SIM, "simulate_fine")])
+@pytest.mark.parametrize("out", ["missing/out.csv", "."])
+def test_unwritable_out_exits_two_before_the_run(argv, runner, out, tmp_path,
+                                                 monkeypatch, capsys):
+    # an --out in a directory that does not exist, or one that is a
+    # directory, is refused before the run.  Write permission is not
+    # checked ahead: a process run as root may write anywhere, so such a
+    # test could not fail there
+    calls = []
+    monkeypatch.setattr(cli, runner, lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", out]) == 2
+    assert calls == []
+    assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert "error: --out" in err
+    assert ("no such directory" if "/" in out else "is a directory") in err
 
 
 def test_runtime_error_exits_one_without_partial_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import refsde.experiment as experiment
+import refsde.model as model
 import refsde.simulate as sim_module
 from refsde import (
     BarrierConfig,
@@ -120,7 +121,7 @@ def test_replication_seed_names_a_bad_mode_or_beta(mode, beta, named):
 @pytest.mark.parametrize("kwargs", [
     dict(case_id=5),
     dict(case_id=1, barrier_mode="sideways"),
-    dict(case_id=1, estimator_type="kernelized"),
+    dict(case_id=1, refine=-3),
     dict(case_id=1, beta_list=(1.2,)),
     dict(case_id=1, n_list=(1,)),
     dict(case_id=1, n_replications=0),
@@ -131,7 +132,7 @@ def test_replication_seed_names_a_bad_mode_or_beta(mode, beta, named):
     dict(case_id=1, burn_in=-1),
     dict(case_id=1, grid_count=0),
     dict(case_id=1, barrier_mode="both", x0=3.5),
-    dict(case_id=1, estimator_type="continuous", refine=1.5),
+    dict(case_id=1, refine=1.5),
     dict(case_id=1, barrier_mode="one_sided_lower", upper=math.inf),
 ])
 def test_plan_validation(kwargs):
@@ -220,7 +221,7 @@ def _public_estimate(plan, mode, n, beta, r, grid):
                     delta=delta_of_n(n), x0=plan.x0, seed=seed,
                     burn_in=plan.burn_in)
     k = epanechnikov(bandwidth(n, beta))
-    if plan.estimator_type == "continuous":
+    if plan.refine > 1:
         return nw_continuous(simulate_fine(cfg, plan.refine), k, grid)
     return nw_discrete(simulate_path(cfg), k, grid)
 
@@ -275,15 +276,6 @@ def test_run_cell_rejects_bad_schedule_before_work(monkeypatch, n, beta):
                           n_replications=2, grid_count=10)
     with pytest.raises(ValueError):
         run_cell(plan, n, beta)
-
-
-def test_continuous_refine_one_cell_equals_discrete_cell():
-    base = dict(case_id=3, barrier_mode="two_sided", n_replications=3,
-                grid_count=20, base_seed=11)
-    d = run_cell(ExperimentPlan(estimator_type="discrete", **base), 60, 0.3)
-    c = run_cell(ExperimentPlan(estimator_type="continuous", refine=1, **base),
-                 60, 0.3)
-    assert d == c
 
 
 def test_mean_stabilizes_when_replications_double():
@@ -414,12 +406,11 @@ def test_batches_cut_each_group_equally_under_the_budget():
 
 
 def test_fine_path_groups_step_in_vector_batches(monkeypatch):
-    # the continuous estimator's default paths at n = 1600: refine 10 makes
-    # them 16 000 steps long, and a group of 60 is cut no narrower than the
+    # the continuous-type estimator's paths at n = 1600 and refine 10 are
+    # 16 000 steps long, and a group of 60 is cut no narrower than the
     # width at which _simulate steps a batch with the vector kernel
     plan = ExperimentPlan(case_id=2, barrier_mode="two_sided",
-                          n_list=(1600,), n_replications=20,
-                          estimator_type="continuous")
+                          n_list=(1600,), n_replications=20, refine=10)
     tasks = _table_tasks(plan)
     batches = experiment._batches(tasks)
     assert len(tasks) == 60
@@ -446,8 +437,7 @@ def test_bench_table_groups_stay_one_batch():
               + ["--out", "t.csv"]).params
     plan = ExperimentPlan(case_id=p["case"], barrier_mode=p["mode"],
                           n_list=p["n_list"], beta_list=p["beta_list"],
-                          n_replications=p["reps"],
-                          estimator_type=p["type"], refine=p["refine"],
+                          n_replications=p["reps"], refine=p["refine"],
                           burn_in=p["burn_in"])
     tasks = _table_tasks(plan)
     groups = {t[1:3] for t in tasks}
@@ -457,32 +447,41 @@ def test_bench_table_groups_stay_one_batch():
 
 
 _BASE_PLAN = dict(case_id=1, n_list=(60,), beta_list=(0.3, 0.2),
-                  n_replications=13, grid_count=30, base_seed=4, refine=3)
+                  n_replications=13, grid_count=30, base_seed=4, refine=1)
 # (plan, x0 of a point estimate or None for a cell, the kinds of result
 # that some replication must give)
 _BATCH_CASES = {
     "discrete": (_BASE_PLAN, None, {tuple}),
-    "continuous": (dict(_BASE_PLAN, estimator_type="continuous"), None,
-                   {tuple}),
+    "continuous": (dict(_BASE_PLAN, refine=3), None, {tuple}),
     # bandwidths of 0.038 and 0.025 at three grid points: some paths put
     # no observation in any window, and some none within h of x0
     "normality": (dict(_BASE_PLAN, beta_list=(0.8, 0.9), grid_count=3,
                        x0=1.0), 1.5, {float}),
     "no_data": (dict(_BASE_PLAN, beta_list=(0.8, 0.9), grid_count=3,
                      x0=1.0), None, {tuple, NoDataError}),
-    # the narrow domain of test_narrow_domain_batch_matches_paths_alone:
-    # some paths leave it beyond the clamp guard
+    # case 1 in the drift of _case1_exploding: the paths that pass 2.2
+    # overflow
     "diverging": (dict(_BASE_PLAN, barrier_mode="two_sided",
-                       n_list=(500, 1000), sigma=1.0, upper=0.32), None,
+                       n_list=(500, 1000)), None,
                   {tuple, SimulationDivergedError}),
 }
 
 
+def _case1_exploding(x):
+    """Zero drift up to 2.2, and above it one that overflows the state to
+    +inf a step later (module level, so that pool processes can unpickle
+    it)."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 2.2, 1e300 * x, 0.0)
+
+
 @pytest.mark.parametrize("kind", list(_BATCH_CASES))
-def test_batched_replications_equal_replications_alone(kind):
+def test_batched_replications_equal_replications_alone(kind, monkeypatch):
     # each slot, a value or an exception, is the public pipeline's:
     # rase of nw_discrete on simulate_path's path (nw_continuous on
     # simulate_fine's), or the estimate at x0
+    if kind == "diverging":
+        monkeypatch.setattr(model, "_case1", _case1_exploding)
     kwargs, x0, kinds = _BATCH_CASES[kind]
     plan = ExperimentPlan(**kwargs)
     tasks = _table_tasks(plan)
@@ -573,7 +572,7 @@ def test_normality_failure_reports_index(monkeypatch, built_pools, threads):
     monkeypatch.setattr(experiment, "_point_score", _point_score_failing_once)
     with pytest.raises(ReplicationError,
                        match="^replication 2: RuntimeError: synthetic failure$"):
-        normality_check(2, 1.5, 400, 0.3, 4, 0, threads=threads)
+        normality_check(plan, 1.5, threads=threads)
     assert len(built_pools) == (threads == 2)
 
 
@@ -603,23 +602,51 @@ def test_ks_statistic_matches_scipy_kstest():
                                                          abs=1e-15)
 
 
+def _normality_plan(**kwargs):
+    """A normality run's plan: one two-sided cell of case 2."""
+    cell = dict(case_id=2, barrier_mode="two_sided", n_list=(400,),
+                beta_list=(0.3,), n_replications=5)
+    return ExperimentPlan(**{**cell, **kwargs})
+
+
 def test_normality_check_validates_location_and_schedule():
+    plan = _normality_plan()
     with pytest.raises(ValueError):
-        normality_check(2, 0.05, 400, 0.3, 5, 0)  # within h of lower barrier
+        normality_check(plan, 0.05)  # within h of lower barrier
     with pytest.raises(ValueError):
-        normality_check(2, 2.9, 400, 0.3, 5, 0)   # within h of upper barrier
+        normality_check(plan, 2.9)   # within h of upper barrier
     with pytest.raises(ValueError, match="rate"):
-        normality_check(2, 1.5, 400, 0.45, 5, 0)  # nhΔ shrinks at this beta
+        normality_check(_normality_plan(beta_list=(0.45,)),
+                        1.5)  # nhΔ shrinks at this beta
 
 
-@pytest.mark.parametrize("mode", ["both", "sideways"])
-def test_normality_check_needs_concrete_mode_before_work(monkeypatch, mode):
+@pytest.fixture
+def normality_work(monkeypatch):
+    """The density and replication calls of normality_check from here on."""
     calls = []
     monkeypatch.setattr(experiment, "_map_replications",
                         lambda *args: calls.append(args))
+    monkeypatch.setattr(experiment, "invariant_density",
+                        lambda *args, **kw: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["both", "sideways"])
+def test_normality_check_needs_concrete_mode_before_work(normality_work,
+                                                         mode):
+    # "sideways" fails when the plan is built, "both" in normality_check
     with pytest.raises(ValueError):
-        normality_check(2, 1.5, 400, 0.3, 5, 0, mode=mode)
-    assert calls == []
+        normality_check(_normality_plan(barrier_mode=mode), 1.5)
+    assert normality_work == []
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_list=(400, 900)),
+                                    dict(beta_list=(0.3, 0.2))])
+def test_normality_check_needs_one_n_and_one_beta_before_work(normality_work,
+                                                             kwargs):
+    with pytest.raises(ValueError, match="a plan of one cell"):
+        normality_check(_normality_plan(**kwargs), 1.5)
+    assert normality_work == []
 
 
 def test_normality_report_fields_and_dropped_counter(monkeypatch):
@@ -637,7 +664,7 @@ def test_normality_report_fields_and_dropped_counter(monkeypatch):
         return real(values, truth)
 
     monkeypatch.setattr(experiment, "_point_score", patchy)
-    rep = normality_check(2, 1.5, 400, 0.3, 6, 123)
+    rep = normality_check(plan, 1.5)
     assert isinstance(rep, NormalityReport)
     assert rep.dropped == 2
     assert rep.n_replications == 6
@@ -651,7 +678,7 @@ def test_normality_all_dropped_raises(monkeypatch):
     monkeypatch.setattr(experiment, "_point_score",
                         lambda values, truth: float("nan"))
     with pytest.raises(NoDataError):
-        normality_check(2, 1.5, 400, 0.3, 3, 0)
+        normality_check(_normality_plan(n_replications=3), 1.5)
 
 
 def test_summary_csv_format(tmp_path):

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
@@ -72,6 +74,14 @@ def _cfg(**kw):
     return SimConfig(**base)
 
 
+def _ks_distance(cdf):
+    """KS distance of a sample from a law, given the law's CDF at the sorted
+    sample."""
+    n = cdf.size
+    return max((np.arange(1, n + 1) / n - cdf).max(),
+               (cdf - np.arange(n) / n).max())
+
+
 @pytest.mark.parametrize("mu, delta", [(-0.5, 0.25), (0.4, 0.5),
                                        (-1.0, 1.0)])
 def test_one_sided_constant_drift_matches_harrison_law(mu, delta):
@@ -93,14 +103,90 @@ def test_one_sided_constant_drift_matches_harrison_law(mu, delta):
     assert errors == {}
     y = np.sort(x[-1])
     scale = sigma * math.sqrt(t_end)
-    cdf = (ndtr((y - x0 - mu * t_end) / scale)
-           - np.exp(2.0 * mu * y / sigma ** 2)
-           * ndtr((-y - x0 - mu * t_end) / scale))
-    ks = max((np.arange(1, paths + 1) / paths - cdf).max(),
-             (cdf - np.arange(paths) / paths).max())
+    ks = _ks_distance(ndtr((y - x0 - mu * t_end) / scale)
+                      - np.exp(2.0 * mu * y / sigma ** 2)
+                      * ndtr((-y - x0 - mu * t_end) / scale))
     band = math.sqrt(math.log(2.0 / 1e-3) / (2 * paths))
     assert round(band, 4) == 0.0138
     assert ks < band
+
+
+def _fokker_planck_cdf(b, cells, steps, sigma=1.0, lower=0.0, upper=3.0,
+                       x0=1.5, t_end=1.0):
+    """(edges, CDF at the edges) of X_t at t_end for dX = b dt + sigma dW
+    reflected at lower and upper, from the Fokker-Planck equation
+    p_t = -(b p)_x + D p_xx, D = sigma^2 / 2, with zero flux at both barriers.
+
+    Finite volumes on ``cells`` equal cells, Scharfetter-Gummel fluxes
+    J = (D / dx) (B(-P) p_i - B(P) p_(i+1)), P = b dx / D at the face and
+    B(z) = z / (e^z - 1), which are exact for a constant drift, and
+    ``steps`` implicit Euler steps.  The start is the cell mass at x0,
+    split between two cells when x0 is an edge."""
+    dx = (upper - lower) / cells
+    diff = 0.5 * sigma * sigma
+    pe = b(lower + dx * np.arange(1, cells)) * dx / diff
+    bern = np.ones_like(pe)
+    big = np.abs(pe) > 1e-8
+    bern[big] = pe[big] / np.expm1(pe[big])  # B(P)
+    right = diff / dx * (bern + pe)           # B(-P) = B(P) + P
+    left = diff / dx * bern
+    main = np.zeros(cells)
+    main[:-1] -= right
+    main[1:] -= left
+    gen = sp.diags([main, left, right], [0, 1, -1], format="csc") / dx
+    solve = splu(sp.identity(cells, format="csc")
+                 - (t_end / steps) * gen).solve
+    p = np.zeros(cells)
+    at = (x0 - lower) / dx
+    if at == round(at):
+        p[round(at) - 1:round(at) + 1] = 0.5 / dx
+    else:
+        p[math.floor(at)] = 1.0 / dx
+    for _ in range(steps):
+        p = solve(p)
+    return (lower + dx * np.arange(cells + 1),
+            np.concatenate([[0.0], np.cumsum(p) * dx]))
+
+
+def _ks_to_cdf(sample, edges, cdf):
+    """KS distance of the sample from the CDF interpolated between edges."""
+    return _ks_distance(np.interp(np.sort(sample), edges, cdf))
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_two_sided_law_matches_fokker_planck(case):
+    # X_T at T = 1 of sigma = 1 on [0, 3] from 1.5, against a numerical
+    # solve of its own Fokker-Planck equation, independent of the density
+    # module and of the paper.  The band is fixed before the run:
+    # - DKW at 4000 paths and alpha = 1e-6: sqrt(ln(2 / alpha) / (2 N)) =
+    #   0.0426.  The small alpha leaves room for the scheme's own weak
+    #   error, about 0.018 for case 1 at delta = 0.04 over 40 000 paths;
+    # - the solver's error: implicit Euler in time is first order and the
+    #   fluxes second order in space, so the gap between the solve and one
+    #   at twice the cell width and time step is the solve's own error
+    #   (about 3e-4 on both cases, against a solve at 4x finer cells and
+    #   16x finer steps); the band takes twice the gap.
+    # With b's sign flipped, the same sample is 0.9 or more away.
+    b = builtin_drift(case).fn
+    edges, cdf = _fokker_planck_cdf(b, 3000, 1000)
+    coarse_edges, coarse = _fokker_planck_cdf(b, 1500, 500)
+    gap = np.abs(np.interp(coarse_edges, edges, cdf) - coarse).max()
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
+    assert gap < 1e-3
+    paths = 4000
+    band = math.sqrt(math.log(2.0 / 1e-6) / (2 * paths)) + 2.0 * gap
+    flip_edges, flipped = _fokker_planck_cdf(lambda x: -b(x), 3000, 1000)
+    for delta in (0.04, 0.01):
+        # (upper - lower) / (sigma sqrt(delta)) is 15 and 30: SimConfig
+        # accepts both
+        cfg = SimConfig(drift=builtin_drift(case), sigma=1.0,
+                        barrier=TWO_SIDED, n_steps=round(1.0 / delta),
+                        delta=delta, x0=1.5)
+        x, _, _, errors = sim_module._simulate(
+            cfg, [(2003, case, round(delta * 1e4), r) for r in range(paths)])
+        assert errors == {}
+        assert _ks_to_cdf(x[-1], edges, cdf) < band
+        assert _ks_to_cdf(x[-1], flip_edges, flipped) > 10.0 * band
 
 
 def test_step_sigma_zero_interior():
@@ -261,6 +347,24 @@ def test_step_inside_the_scale_bound_stays_finite():
         replace(cfg, sigma=1.01 * bound)
 
 
+def test_config_refuses_a_step_whose_noise_could_span_the_domain():
+    # one step needs both barriers with chance at most
+    # 2 exp(-r^2 / 2), r = (upper - lower) / (sigma sqrt(delta)); 1e-12 at
+    # r = sqrt(2 ln 2e12) = 7.53
+    r_min = sim_module._MIN_SPAN
+    assert 2.0 * math.exp(-r_min * r_min / 2.0) == pytest.approx(1e-12)
+    assert round(r_min, 2) == 7.53
+    base = dict(drift=_const_drift(0.0), barrier=TWO_SIDED, n_steps=10,
+                delta=0.04)
+    at_bound = 3.0 / (r_min * 0.2)
+    SimConfig(sigma=0.999 * at_bound, **base)
+    SimConfig(sigma=0.0, **base)
+    with pytest.raises(ValueError, match="one step could need both"):
+        SimConfig(sigma=1.001 * at_bound, **base)
+    # one-sided mode has one barrier to meet, at any sigma
+    SimConfig(**dict(base, sigma=1e3, barrier=BarrierConfig.one_sided(0.0)))
+
+
 def test_divergence_reports_step_index():
     bad = DriftSpec("exploder",
                     lambda x: 1e100 * (np.asarray(x, dtype=float) + 1.0))
@@ -406,10 +510,12 @@ def test_pinned_path_is_bitwise_the_oracle(drift, mode):
 def test_radicand_terms_are_within_an_ulp_of_math_log():
     # sigma 1 and delta 1/2 make c = 2 sigma^2 delta exactly 1, so the records
     # hold np.log(U) itself; a two-sided batch of two paths of 2**18 + 5
-    # steps holds 1 048 596 uniforms
+    # steps holds 1 048 596 uniforms.  The domain [0, 6] is wide enough for
+    # a step of that noise
     total = 2**18 + 5
-    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0, barrier=TWO_SIDED,
-                    n_steps=total, delta=0.5)
+    cfg = SimConfig(drift=builtin_drift(1), sigma=1.0,
+                    barrier=BarrierConfig.two_sided(0.0, 6.0), n_steps=total,
+                    delta=0.5)
     seeds = (5, (2, 9))
     x, g, qh = sim_module._records(cfg, seeds, total)
     for j, seed in enumerate(seeds):
@@ -600,10 +706,14 @@ def test_failing_batch_members_fail_as_alone(mode):
 
 
 def test_narrow_domain_batch_matches_paths_alone():
-    # noise wider than the domain, so that both bridge maxima sometimes
-    # cross their barriers in one step (the lower one goes first) and some
-    # paths leave the domain beyond the clamp guard
-    base = SimConfig(drift=builtin_drift(1), sigma=1.0,
+    # zero drift below 0.25, and above it a drift whose step of 1e5 crosses
+    # the domain [0, 0.32] 3e5 times over: reflecting it back cancels to
+    # within a few units of 1e5's last place (1.5e-11), more than the clamp
+    # guard, so the paths that pass 0.25 leave the domain (the noise alone
+    # cannot: SimConfig refuses a step whose noise could span the domain)
+    kick = DriftSpec("kick", lambda x: np.where(
+        np.asarray(x, dtype=float) > 0.25, 1e7, 0.0))
+    base = SimConfig(drift=kick, sigma=0.04,
                      barrier=BarrierConfig.two_sided(0.0, 0.32),
                      n_steps=2000, delta=0.01)
     errors = _assert_batch_matches_alone(base, list(range(8)))
